@@ -130,10 +130,11 @@ sweepKernelFiniteBht(benchmark::State &state)
 
 /**
  * The fused inner loop in isolation: replay a synthetic decoded
- * record stream through a full 8-wide lane batch on one dispatch
- * target.  Items processed counts lane-updates (records x lanes), so
- * the scalar/sse2/avx2 rows are directly comparable and their ratio
- * is the pure kernel speedup with no sweep bookkeeping around it.
+ * record stream through a full 16-lane batch on one dispatch target.
+ * Items processed counts lane-updates (records x lanes), so the
+ * scalar/sse2/avx512 rows are directly comparable and their ratio is
+ * the pure kernel speedup with no sweep bookkeeping around it.  (An
+ * AVX2 target runs the SSE2 kernel for 2-bit batches.)
  */
 void
 laneBatchReplay(benchmark::State &state, SimdTarget target)
@@ -142,7 +143,7 @@ laneBatchReplay(benchmark::State &state, SimdTarget target)
         state.SkipWithError("dispatch target not supported on host");
         return;
     }
-    constexpr unsigned lanes = 8;
+    constexpr unsigned lanes = LaneBatch::kMaxLanes;
     constexpr unsigned indexBits = 12; // 4K-counter PHT per lane
     static const std::vector<std::uint32_t> records = [] {
         Pcg32 rng(0xBE9CF00DULL, 5);
@@ -174,45 +175,11 @@ laneBatchReplay(benchmark::State &state, SimdTarget target)
 }
 
 /**
- * The packed-counter gather primitive alone: fetch one byte per lane
- * from eight separately-allocated PHTs.  This is the memory-bound
- * half of the lane batch; compare with laneBatchReplay to see how
- * much of the kernel is gather latency vs counter arithmetic.
- */
-void
-packedGather(benchmark::State &state, SimdTarget target)
-{
-    if (!simdTargetSupported(target)) {
-        state.SkipWithError("dispatch target not supported on host");
-        return;
-    }
-    constexpr unsigned lanes = 8;
-    std::vector<PackedPht> tables;
-    const std::uint8_t *bases[lanes];
-    std::uint32_t idx[lanes];
-    std::uint8_t out[lanes];
-    for (unsigned l = 0; l < lanes; ++l)
-        tables.emplace_back(std::size_t{1} << 10);
-    for (unsigned l = 0; l < lanes; ++l) {
-        bases[l] = tables[l].data();
-        idx[l] = (l * 37u) & 0xFF;
-    }
-    for (auto _ : state) {
-        gatherLaneBytes(target, bases, idx, lanes, out);
-        benchmark::DoNotOptimize(out[0]);
-        idx[0] = (idx[0] + 1) & 0xFF; // defeat trivial caching
-    }
-    state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-/**
  * The zoo step cost at sweep granularity: one tier of TAGE or
- * perceptron configurations replayed per-config (runModelReplay, one
- * trace pass per lane) vs batched (runModelBatch, one decoded block
- * stepped by every lane).  Items processed counts model-steps
- * (branches x lanes), so the per-config/batched ratio is the batching
- * speedup per step.  A smaller trace than workload() keeps the
- * per-config rows affordable.
+ * perceptron configurations replayed as one model group (one decoded
+ * block stepped by every lane).  Items processed counts model-steps
+ * (branches x lanes), comparable with the single-model
+ * predictorThroughput rows.
  */
 const PreparedTrace &
 zooPrepared()
@@ -232,13 +199,12 @@ zooPrepared()
 }
 
 void
-zooModelStep(benchmark::State &state, SchemeKind kind, bool batched)
+zooModelStep(benchmark::State &state, SchemeKind kind)
 {
     const PreparedTrace &t = zooPrepared();
     SweepOptions o;
     o.minTotalBits = 12;
     o.maxTotalBits = 12;
-    o.fuseJobs = batched;
     const std::size_t lanes = planSweep(kind, o).size();
     for (auto _ : state) {
         SweepResult r = sweepScheme(t, kind, o);
@@ -338,17 +304,10 @@ BENCHMARK(sweepKernel)->Arg(0)->Arg(1)->ArgNames({"aliasing"});
 BENCHMARK(sweepKernelFiniteBht)->Arg(0)->Arg(1)->ArgNames({"cached"});
 BENCHMARK_CAPTURE(laneBatchReplay, scalar, SimdTarget::Scalar);
 BENCHMARK_CAPTURE(laneBatchReplay, sse2, SimdTarget::SSE2);
-BENCHMARK_CAPTURE(laneBatchReplay, avx2, SimdTarget::AVX2);
-BENCHMARK_CAPTURE(packedGather, scalar, SimdTarget::Scalar);
-BENCHMARK_CAPTURE(packedGather, sse2, SimdTarget::SSE2);
-BENCHMARK_CAPTURE(packedGather, avx2, SimdTarget::AVX2);
-BENCHMARK_CAPTURE(zooModelStep, tage_per_config, SchemeKind::Tage,
-                  false);
-BENCHMARK_CAPTURE(zooModelStep, tage_batched, SchemeKind::Tage, true);
-BENCHMARK_CAPTURE(zooModelStep, perceptron_per_config,
-                  SchemeKind::Perceptron, false);
+BENCHMARK_CAPTURE(laneBatchReplay, avx512, SimdTarget::AVX512);
+BENCHMARK_CAPTURE(zooModelStep, tage_batched, SchemeKind::Tage);
 BENCHMARK_CAPTURE(zooModelStep, perceptron_batched,
-                  SchemeKind::Perceptron, true);
+                  SchemeKind::Perceptron);
 BENCHMARK_CAPTURE(perceptronBatchReplay, scalar, SimdTarget::Scalar);
 BENCHMARK_CAPTURE(perceptronBatchReplay, sse2, SimdTarget::SSE2);
 BENCHMARK_CAPTURE(perceptronBatchReplay, avx2, SimdTarget::AVX2);

@@ -3,19 +3,20 @@
  * Sweep throughput benchmark: wall-clock branch-config updates per
  * second for every sweep scheme, in these execution modes --
  *
- *   serial        per-config kernel, one trace replay per job
- *                 (threads=1, fuseJobs=off; the pre-fusion baseline)
- *   fused[T]      fused single-pass kernel (threads=1, fuseJobs=on),
- *                 once per SIMD dispatch target T this host supports
- *                 (scalar always; sse2/avx2 when the CPU has them)
+ *   fused[T]      fused single-pass kernel (threads=1), once per SIMD
+ *                 dispatch target T this host supports (scalar
+ *                 always; sse2/avx2/avx512 when the CPU has them);
+ *                 fused[scalar] is the baseline every speedup divides
  *   fused+threads fused kernel, auto dispatch, group-parallel
  *                 execution (threads=0, one executor per hw thread)
+ *   alias         fused kernel with alias lanes (trackAliasing on,
+ *                 threads=1, auto dispatch): the Figure 5 path
  *
  * One unit of work is a single branch instance simulated through a
  * single configuration, so "branch-config updates/s" is comparable
  * across schemes, modes, trace lengths and hosts.  All modes produce
- * bit-identical surfaces (verified in-process each run; a mismatch is
- * a hard failure), so the timing comparison is fair.
+ * bit-identical misprediction surfaces (verified in-process each run;
+ * a mismatch is a hard failure), so the timing comparison is fair.
  *
  * Results are written to a JSON file (default BENCH_sweep.json) whose
  * format EXPERIMENTS.md documents; the `perf` ctest label runs a short
@@ -35,12 +36,20 @@
  * grid, speedups and worker utilizations land in the same JSON under
  * "within_group_scaling".
  *
- * A second phase times the persistent result cache (sweep_session.hh):
+ * A zoo phase times the batched TAGE/perceptron model-lane replay the
+ * same way: batched[T] per dispatch target (batched[scalar] is the
+ * baseline) and batched+threads.
+ *
+ * A last phase times the persistent result cache (sweep_session.hh):
  * the same table3-scale sweep set is run cold (compute + store), warm
  * (memory hits) and disk-warm (a fresh session reading .bpc files),
  * with every served surface verified bit-identical against the cold
  * run.  Timings, speedups and cache counters go to a separate JSON
  * report (default BENCH_cache.json).
+ *
+ * Both JSON files open with a "host" record -- CPU model, hardware
+ * threads, compiler, build type and the detected SIMD target -- so a
+ * committed number always says what machine and build produced it.
  *
  * Knobs: branches=N (trace length, default 1000000 -- the paper's
  * profiles run 2-4M conditionals, so the default is sized to spill
@@ -54,6 +63,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -75,14 +85,90 @@ struct SchemeResult
 {
     SchemeKind kind;
     std::size_t configs = 0;
-    ModeResult serial;
-    /** One fused-mode measurement per supported dispatch target. */
+    /** One fused-mode measurement per supported dispatch target;
+     *  fused[0] (scalar) is the baseline. */
     std::vector<ModeResult> fused;
     ModeResult fusedThreads;
-    double fusedThreadsSpeedup = 0.0;
+    /** Alias lanes on (2-bit schemes only). */
+    ModeResult alias;
     /** Telemetry from the widest-target single-thread fused run. */
     KernelTelemetry kernel;
+    /** Telemetry from the alias run. */
+    KernelTelemetry aliasKernel;
+
+    /** Speedup of @p m over the scalar fused baseline. */
+    double
+    speedup(const ModeResult &m) const
+    {
+        return fused[0].seconds / m.seconds;
+    }
 };
+
+/** @p text with JSON string escapes applied. */
+std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    for (char c : text) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        if (static_cast<unsigned char>(c) >= 0x20)
+            out += c;
+    }
+    return out;
+}
+
+/** The CPU model from /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const std::size_t start = line.find_first_not_of(' ', colon + 1);
+        return start == std::string::npos ? "unknown"
+                                          : line.substr(start);
+    }
+    return "unknown";
+}
+
+/** The compiler this binary was built with. */
+const char *
+compilerName()
+{
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#elif defined(__GNUC__)
+    return "gcc " __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
+/** Write the "host" fingerprint record both JSON reports open with. */
+void
+writeHost(FILE *json)
+{
+#ifdef BPSIM_BUILD_TYPE
+    const char *build_type = BPSIM_BUILD_TYPE;
+#else
+    const char *build_type = "unknown";
+#endif
+    std::fprintf(json,
+                 "  \"host\": {\"cpu\": \"%s\", \"hardware_threads\": "
+                 "%u,\n   \"compiler\": \"%s\", \"build_type\": "
+                 "\"%s\", \"simd_detected\": \"%s\"},\n",
+                 jsonEscape(cpuModel()).c_str(),
+                 ThreadPool::hardwareThreads(),
+                 jsonEscape(compilerName()).c_str(),
+                 jsonEscape(build_type).c_str(),
+                 simdTargetName(detectSimdTarget()));
+}
 
 /**
  * Time one sweep run under @p opts, returning wall seconds.  Routed
@@ -170,6 +256,65 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
+/**
+ * Time @p kind under fused[T] for every target and fused+threads,
+ * best of @p reps with the modes interleaved within each rep (so slow
+ * host drift hits every mode alike), every surface checked bit-
+ * identical to fused[scalar].  @p base fixes everything but the
+ * dispatch target and thread count.  @p expect receives the
+ * fused[scalar] misprediction surface.
+ */
+SchemeResult
+timeScheme(SweepSession &session, const TraceHash &hash,
+           SchemeKind kind, const SweepOptions &base,
+           const std::vector<SimdTarget> &targets, unsigned reps,
+           std::size_t branches, Surface &expect)
+{
+    SchemeResult r;
+    r.kind = kind;
+    r.fused.resize(targets.size());
+    SweepOptions threaded_opts = base;
+    threaded_opts.threads = 0;
+
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+            SweepOptions opts = base;
+            opts.simd = targets[t];
+            Surface surface("");
+            const bool widest = t + 1 == targets.size();
+            const double f = runOnce(
+                session, hash, kind, opts,
+                rep == 0 ? (t == 0 ? &expect : &surface) : nullptr,
+                rep == 0 && widest ? &r.kernel : nullptr);
+            if (rep == 0 && t == 0) {
+                // One surface point per swept configuration.
+                for (const auto &tier : expect.tiers())
+                    r.configs += tier.points.size();
+            } else if (rep == 0) {
+                checkSurface(kind, expect, surface);
+            }
+            r.fused[t].seconds =
+                rep == 0 ? f : std::min(r.fused[t].seconds, f);
+        }
+
+        Surface threaded_surface("");
+        const double ft =
+            runOnce(session, hash, kind, threaded_opts,
+                    rep == 0 ? &threaded_surface : nullptr);
+        if (rep == 0)
+            checkSurface(kind, expect, threaded_surface);
+        r.fusedThreads.seconds =
+            rep == 0 ? ft : std::min(r.fusedThreads.seconds, ft);
+    }
+
+    const double work =
+        static_cast<double>(branches) * static_cast<double>(r.configs);
+    for (ModeResult &m : r.fused)
+        m.throughput = work / m.seconds;
+    r.fusedThreads.throughput = work / r.fusedThreads.seconds;
+    return r;
+}
+
 } // namespace
 
 int
@@ -189,7 +334,7 @@ main(int argc, char **argv)
 
     const std::vector<SimdTarget> targets = supportedSimdTargets();
 
-    banner("Sweep throughput: serial vs fused[simd] vs fused+threads");
+    banner("Sweep throughput: fused[simd] vs fused+threads vs alias");
     std::printf("profile %s, %llu conditional branches, tiers 2^4.."
                 "2^15, best of %u rep%s, %u hardware thread%s, "
                 "dispatch targets:",
@@ -205,13 +350,9 @@ main(int argc, char **argv)
     TraceHandle handle = internProfile(session, profile, branches);
     auto trace = preparedTrace(session, handle);
 
-    SweepOptions serial_opts = paperSweepOptions();
-    serial_opts.trackAliasing = false;
-    serial_opts.threads = 1;
-    serial_opts.fuseJobs = false;
-    SweepOptions fused_threads_opts = serial_opts;
-    fused_threads_opts.fuseJobs = true;
-    fused_threads_opts.threads = 0;
+    SweepOptions fused_opts = paperSweepOptions();
+    fused_opts.trackAliasing = false;
+    fused_opts.threads = 1;
 
     const SchemeKind kinds[] = {
         SchemeKind::AddressIndexed, SchemeKind::GAg,
@@ -221,117 +362,70 @@ main(int argc, char **argv)
     };
 
     std::vector<SchemeResult> results;
-    std::printf("%-10s %7s | %12s |", "scheme", "configs",
-                "serial bc/s");
+    std::printf("%-10s %7s |", "scheme", "configs");
     for (SimdTarget t : targets)
         std::printf(" %12s %6s |", simdTargetName(t), "spd");
-    std::printf(" %12s %6s\n", "fused+t bc/s", "spd");
+    std::printf(" %12s %6s | %12s %6s\n", "fused+t bc/s", "spd",
+                "alias bc/s", "spd");
     for (SchemeKind kind : kinds) {
-        SchemeResult r;
-        r.kind = kind;
-        r.fused.resize(targets.size());
-
-        // Interleave the modes within each rep (serial, fused per
-        // target, fused+threads, serial, ...) so slow host drift
-        // during the run hits every mode alike instead of biasing
-        // the ratios; best-of-reps then discards transient
-        // interference.
         Surface expect("");
+        SchemeResult r = timeScheme(session, handle.hash, kind,
+                                    fused_opts, targets, reps,
+                                    trace->size(), expect);
+
+        // The alias-lane run: Figure 5's path, same plan and groups.
+        SweepOptions alias_opts = fused_opts;
+        alias_opts.trackAliasing = true;
         for (unsigned rep = 0; rep < reps; ++rep) {
-            const double s =
-                runOnce(session, handle.hash, kind, serial_opts,
-                        rep == 0 ? &expect : nullptr);
-            if (rep == 0) {
-                r.serial.seconds = s;
-                // One surface point per swept configuration.
-                for (const auto &tier : expect.tiers())
-                    r.configs += tier.points.size();
-            } else {
-                r.serial.seconds = std::min(r.serial.seconds, s);
-            }
-
-            for (std::size_t t = 0; t < targets.size(); ++t) {
-                SweepOptions fused_opts = serial_opts;
-                fused_opts.fuseJobs = true;
-                fused_opts.simd = targets[t];
-                Surface surface("");
-                const bool widest = t + 1 == targets.size();
-                const double f = runOnce(
-                    session, handle.hash, kind, fused_opts,
-                    rep == 0 ? &surface : nullptr,
-                    rep == 0 && widest ? &r.kernel : nullptr);
-                if (rep == 0) {
-                    checkSurface(kind, expect, surface);
-                    r.fused[t].seconds = f;
-                } else {
-                    r.fused[t].seconds =
-                        std::min(r.fused[t].seconds, f);
-                }
-            }
-
-            Surface threaded_surface("");
-            const double ft =
-                runOnce(session, handle.hash, kind,
-                        fused_threads_opts,
-                        rep == 0 ? &threaded_surface : nullptr);
-            if (rep == 0) {
-                checkSurface(kind, expect, threaded_surface);
-                r.fusedThreads.seconds = ft;
-            } else {
-                r.fusedThreads.seconds =
-                    std::min(r.fusedThreads.seconds, ft);
-            }
+            Surface surface("");
+            const double a = runOnce(
+                session, handle.hash, kind, alias_opts,
+                rep == 0 ? &surface : nullptr,
+                rep == 0 ? &r.aliasKernel : nullptr);
+            if (rep == 0)
+                checkSurface(kind, expect, surface);
+            r.alias.seconds =
+                rep == 0 ? a : std::min(r.alias.seconds, a);
         }
-
-        const double work = static_cast<double>(trace->size()) *
-                            static_cast<double>(r.configs);
-        r.serial.throughput = work / r.serial.seconds;
-        for (ModeResult &m : r.fused)
-            m.throughput = work / m.seconds;
-        r.fusedThreads.throughput = work / r.fusedThreads.seconds;
-        r.fusedThreadsSpeedup =
-            r.serial.seconds / r.fusedThreads.seconds;
+        r.alias.throughput = static_cast<double>(trace->size()) *
+                             static_cast<double>(r.configs) /
+                             r.alias.seconds;
         results.push_back(r);
 
-        std::printf("%-10s %7zu | %12.3e |", schemeKindName(kind),
-                    r.configs, r.serial.throughput);
+        std::printf("%-10s %7zu |", schemeKindName(kind), r.configs);
         for (const ModeResult &m : r.fused)
             std::printf(" %12.3e %5.2fx |", m.throughput,
-                        r.serial.seconds / m.seconds);
-        std::printf(" %12.3e %5.2fx\n", r.fusedThreads.throughput,
-                    r.fusedThreadsSpeedup);
+                        r.speedup(m));
+        std::printf(" %12.3e %5.2fx | %12.3e %5.2fx\n",
+                    r.fusedThreads.throughput, r.speedup(r.fusedThreads),
+                    r.alias.throughput, r.speedup(r.alias));
     }
 
-    // Geomeans: fused-vs-serial per target, vector-vs-scalar-fused
-    // per vector target, threads-vs-serial.
-    std::vector<double> per_target_geo(targets.size());
+    // Geomeans over schemes: each vector target, threads and alias
+    // lanes vs fused[scalar].
     std::vector<double> vs_scalar_geo(targets.size());
     for (std::size_t t = 0; t < targets.size(); ++t) {
-        std::vector<double> vs_serial, vs_scalar;
-        for (const SchemeResult &r : results) {
-            vs_serial.push_back(r.serial.seconds /
-                                r.fused[t].seconds);
-            vs_scalar.push_back(r.fused[0].seconds /
-                                r.fused[t].seconds);
-        }
-        per_target_geo[t] = geomean(vs_serial);
+        std::vector<double> vs_scalar;
+        for (const SchemeResult &r : results)
+            vs_scalar.push_back(r.speedup(r.fused[t]));
         vs_scalar_geo[t] = geomean(vs_scalar);
     }
-    std::vector<double> threaded_speedups;
-    for (const SchemeResult &r : results)
-        threaded_speedups.push_back(r.fusedThreadsSpeedup);
+    std::vector<double> threaded_speedups, alias_speedups;
+    for (const SchemeResult &r : results) {
+        threaded_speedups.push_back(r.speedup(r.fusedThreads));
+        alias_speedups.push_back(r.speedup(r.alias));
+    }
     const double threaded_geo = geomean(threaded_speedups);
+    const double alias_geo = geomean(alias_speedups);
 
-    std::printf("\ngeomean speedups vs serial:");
-    for (std::size_t t = 0; t < targets.size(); ++t)
-        std::printf(" fused[%s] %.2fx", simdTargetName(targets[t]),
-                    per_target_geo[t]);
-    std::printf(", fused+threads %.2fx\n", threaded_geo);
+    std::printf("\ngeomean vs fused[scalar]:");
     for (std::size_t t = 1; t < targets.size(); ++t)
-        std::printf("geomean fused[%s] vs fused[scalar]: %.2fx\n",
-                    simdTargetName(targets[t]), vs_scalar_geo[t]);
-    std::printf("(all surfaces verified bit-identical across modes "
-                "and targets)\n");
+        std::printf(" fused[%s] %.2fx", simdTargetName(targets[t]),
+                    vs_scalar_geo[t]);
+    std::printf(" fused+threads %.2fx alias %.2fx\n", threaded_geo,
+                alias_geo);
+    std::printf("(all misprediction surfaces verified bit-identical "
+                "across modes and targets)\n");
 
     // ---- Within-group scaling: fused_threads x segments matrix ---
     //
@@ -346,8 +440,7 @@ main(int argc, char **argv)
     // against "hardware_threads" in the JSON).
     const SchemeKind matrix_kind = SchemeKind::GAs;
     const unsigned matrix_levels[] = {1, 2, 4, 8};
-    SweepOptions matrix_base = serial_opts;
-    matrix_base.fuseJobs = true;
+    SweepOptions matrix_base = fused_opts;
 
     std::printf("\n==== Within-group scaling: %s, fused_threads x "
                 "segments (warmup %u) ====\n",
@@ -402,102 +495,40 @@ main(int argc, char **argv)
                 "speculative epsilon %.3e mispredict-rate points)\n",
                 matrix_max_eps);
 
-    // ---- Zoo phase: batched model-lane replay vs per-config ------
+    // ---- Zoo phase: batched model-lane replay per target --------
     //
-    // The modern-predictor zoo replays full TAGE/perceptron models,
-    // so its baseline is the per-config runModelReplay path -- one
-    // scalar trace pass per configuration.  The batched engine
-    // (runModelBatch) decodes each 2048-branch block once, shares the
-    // TAGE tag/index folds across lanes and steps perceptron lanes
-    // through the SIMD dot-product kernel.  This phase records the
-    // batched-vs-per-config matrix on a fig_tage_aliasing-sized
-    // surface (tiers spanning the fig's entry 4..8 x base 6..10
-    // budgets) with bit-identity asserted per dispatch target.
+    // The batched engine (runModelBatch) decodes each 2048-branch
+    // block once, shares the TAGE tag/index folds across lanes and
+    // steps perceptron lanes through the SIMD dot-product kernel.
+    // This phase times it per dispatch target and with group
+    // threads on a fig_tage_aliasing-sized surface (tiers spanning the
+    // fig's entry 4..8 x base 6..10 budgets), bit-identity asserted.
     const SchemeKind zoo_kinds[] = {SchemeKind::Tage,
                                     SchemeKind::Perceptron};
-    SweepOptions zoo_serial = serial_opts;
-    zoo_serial.minTotalBits = 10;
-    zoo_serial.maxTotalBits = 18;
-    SweepOptions zoo_threads_opts = zoo_serial;
-    zoo_threads_opts.fuseJobs = true;
-    zoo_threads_opts.threads = 0;
+    SweepOptions zoo_opts = fused_opts;
+    zoo_opts.minTotalBits = 10;
+    zoo_opts.maxTotalBits = 18;
 
-    std::printf("\n==== Zoo throughput: per-config vs batched model "
-                "replay (tiers 2^%u..2^%u) ====\n",
-                zoo_serial.minTotalBits, zoo_serial.maxTotalBits);
+    std::printf("\n==== Zoo throughput: batched model replay (tiers "
+                "2^%u..2^%u) ====\n",
+                zoo_opts.minTotalBits, zoo_opts.maxTotalBits);
     std::vector<SchemeResult> zoo_results;
-    std::printf("%-10s %7s | %12s |", "scheme", "configs",
-                "percfg bc/s");
+    std::printf("%-10s %7s |", "scheme", "configs");
     for (SimdTarget t : targets)
         std::printf(" %12s %6s |", simdTargetName(t), "spd");
     std::printf(" %12s %6s\n", "batch+t bc/s", "spd");
     for (SchemeKind kind : zoo_kinds) {
-        SchemeResult r;
-        r.kind = kind;
-        r.fused.resize(targets.size());
-
         Surface expect("");
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            const double s =
-                runOnce(session, handle.hash, kind, zoo_serial,
-                        rep == 0 ? &expect : nullptr);
-            if (rep == 0) {
-                r.serial.seconds = s;
-                for (const auto &tier : expect.tiers())
-                    r.configs += tier.points.size();
-            } else {
-                r.serial.seconds = std::min(r.serial.seconds, s);
-            }
-
-            for (std::size_t t = 0; t < targets.size(); ++t) {
-                SweepOptions batched_opts = zoo_serial;
-                batched_opts.fuseJobs = true;
-                batched_opts.simd = targets[t];
-                Surface surface("");
-                const bool widest = t + 1 == targets.size();
-                const double f = runOnce(
-                    session, handle.hash, kind, batched_opts,
-                    rep == 0 ? &surface : nullptr,
-                    rep == 0 && widest ? &r.kernel : nullptr);
-                if (rep == 0) {
-                    checkSurface(kind, expect, surface);
-                    r.fused[t].seconds = f;
-                } else {
-                    r.fused[t].seconds =
-                        std::min(r.fused[t].seconds, f);
-                }
-            }
-
-            Surface threaded_surface("");
-            const double ft =
-                runOnce(session, handle.hash, kind, zoo_threads_opts,
-                        rep == 0 ? &threaded_surface : nullptr);
-            if (rep == 0) {
-                checkSurface(kind, expect, threaded_surface);
-                r.fusedThreads.seconds = ft;
-            } else {
-                r.fusedThreads.seconds =
-                    std::min(r.fusedThreads.seconds, ft);
-            }
-        }
-
-        const double work = static_cast<double>(trace->size()) *
-                            static_cast<double>(r.configs);
-        r.serial.throughput = work / r.serial.seconds;
-        for (ModeResult &m : r.fused)
-            m.throughput = work / m.seconds;
-        r.fusedThreads.throughput = work / r.fusedThreads.seconds;
-        r.fusedThreadsSpeedup =
-            r.serial.seconds / r.fusedThreads.seconds;
+        SchemeResult r = timeScheme(session, handle.hash, kind,
+                                    zoo_opts, targets, reps,
+                                    trace->size(), expect);
         zoo_results.push_back(r);
-
-        std::printf("%-10s %7zu | %12.3e |", schemeKindName(kind),
-                    r.configs, r.serial.throughput);
+        std::printf("%-10s %7zu |", schemeKindName(kind), r.configs);
         for (const ModeResult &m : r.fused)
             std::printf(" %12.3e %5.2fx |", m.throughput,
-                        r.serial.seconds / m.seconds);
+                        r.speedup(m));
         std::printf(" %12.3e %5.2fx\n", r.fusedThreads.throughput,
-                    r.fusedThreadsSpeedup);
+                    r.speedup(r.fusedThreads));
     }
     std::printf("(all zoo surfaces verified bit-identical across "
                 "modes and targets)\n");
@@ -508,13 +539,12 @@ main(int argc, char **argv)
     if (!json)
         bpsim_fatal("cannot write ", json_path);
     std::fprintf(json, "{\n  \"bench\": \"perf_sweep\",\n");
+    writeHost(json);
     std::fprintf(json, "  \"profile\": \"%s\",\n", profile.c_str());
     std::fprintf(json, "  \"branches\": %llu,\n",
                  static_cast<unsigned long long>(trace->size()));
     std::fprintf(json, "  \"tiers\": [4, 15],\n");
     std::fprintf(json, "  \"reps\": %u,\n", reps);
-    std::fprintf(json, "  \"hardware_threads\": %u,\n",
-                 ThreadPool::hardwareThreads());
     std::fprintf(json, "  \"trace_bytes_per_branch\": %.3f,\n",
                  trace->bytesPerBranch());
     std::fprintf(json, "  \"simd_targets\": [");
@@ -524,57 +554,65 @@ main(int argc, char **argv)
     std::fprintf(json, "],\n");
     std::fprintf(json, "  \"unit\": \"branch-config updates per "
                        "second\",\n");
+    std::fprintf(json, "  \"baseline\": \"fused[scalar]\",\n");
+    const auto write_mode = [&](const char *name, const SchemeResult &r,
+                                const ModeResult &m, const char *tail) {
+        std::fprintf(json,
+                     "     \"%s\": {\"seconds\": %.6f, \"throughput\": "
+                     "%.3e, \"speedup\": %.3f}%s\n",
+                     name, m.seconds, m.throughput, r.speedup(m), tail);
+    };
+    const auto write_targets = [&](const char *name,
+                                   const SchemeResult &r) {
+        std::fprintf(json, "     \"%s\": {\n", name);
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+            const ModeResult &m = r.fused[t];
+            std::fprintf(json,
+                         "      \"%s\": {\"seconds\": %.6f, "
+                         "\"throughput\": %.3e, \"speedup\": %.3f}%s\n",
+                         simdTargetName(targets[t]), m.seconds,
+                         m.throughput, r.speedup(m),
+                         t + 1 < targets.size() ? "," : "");
+        }
+        std::fprintf(json, "     },\n");
+    };
+    const auto write_kernel = [&](const char *name,
+                                  const KernelTelemetry &k,
+                                  const char *tail) {
+        std::fprintf(
+            json,
+            "     \"%s\": {\"target\": \"%s\", "
+            "\"fused_groups\": %llu, \"fallback_jobs\": %llu,\n"
+            "      \"lanes_per_group\": %.2f, \"alias_lanes\": %llu, "
+            "\"lane_batches\": %llu, \"blocks_replayed\": %llu,\n"
+            "      \"hot_bytes_per_branch\": %.2f, "
+            "\"segments_per_group\": %.2f,\n"
+            "      \"shards_per_group\": %.2f, \"warmup_branches\": "
+            "%llu, \"worker_utilization\": %.3f}%s\n",
+            name, simdTargetName(k.target),
+            static_cast<unsigned long long>(k.fusedGroups),
+            static_cast<unsigned long long>(k.fallbackJobs),
+            k.lanesPerGroup(),
+            static_cast<unsigned long long>(k.aliasLanes),
+            static_cast<unsigned long long>(k.laneBatches),
+            static_cast<unsigned long long>(k.blocksReplayed),
+            k.hotBytesPerBranch(), k.segmentsPerGroup(),
+            k.shardsPerGroup(),
+            static_cast<unsigned long long>(k.warmupBranches),
+            k.workerUtilization(), tail);
+    };
     std::fprintf(json, "  \"schemes\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const SchemeResult &r = results[i];
         std::fprintf(json, "    {\"scheme\": \"%s\", \"configs\": "
                            "%zu,\n",
                      schemeKindName(r.kind), r.configs);
-        std::fprintf(json,
-                     "     \"serial\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e},\n",
-                     r.serial.seconds, r.serial.throughput);
-        std::fprintf(json, "     \"fused\": {\n");
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-            const ModeResult &m = r.fused[t];
-            std::fprintf(
-                json,
-                "      \"%s\": {\"seconds\": %.6f, \"throughput\": "
-                "%.3e,\n       \"speedup\": %.3f, "
-                "\"speedup_vs_scalar_fused\": %.3f}%s\n",
-                simdTargetName(targets[t]), m.seconds, m.throughput,
-                r.serial.seconds / m.seconds,
-                r.fused[0].seconds / m.seconds,
-                t + 1 < targets.size() ? "," : "");
-        }
-        std::fprintf(json, "     },\n");
-        std::fprintf(json,
-                     "     \"fused_threads\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e, \"speedup\": %.3f},\n",
-                     r.fusedThreads.seconds,
-                     r.fusedThreads.throughput,
-                     r.fusedThreadsSpeedup);
-        std::fprintf(
-            json,
-            "     \"kernel\": {\"target\": \"%s\", "
-            "\"fused_groups\": %llu, \"fallback_jobs\": %llu,\n"
-            "      \"lanes_per_group\": %.2f, \"lane_batches\": "
-            "%llu, \"blocks_replayed\": %llu,\n"
-            "      \"hot_bytes_per_branch\": %.2f, "
-            "\"segments_per_group\": %.2f,\n"
-            "      \"shards_per_group\": %.2f, \"warmup_branches\": "
-            "%llu, \"worker_utilization\": %.3f}}%s\n",
-            simdTargetName(r.kernel.target),
-            static_cast<unsigned long long>(r.kernel.fusedGroups),
-            static_cast<unsigned long long>(r.kernel.fallbackJobs),
-            r.kernel.lanesPerGroup(),
-            static_cast<unsigned long long>(r.kernel.laneBatches),
-            static_cast<unsigned long long>(r.kernel.blocksReplayed),
-            r.kernel.hotBytesPerBranch(),
-            r.kernel.segmentsPerGroup(), r.kernel.shardsPerGroup(),
-            static_cast<unsigned long long>(r.kernel.warmupBranches),
-            r.kernel.workerUtilization(),
-            i + 1 < results.size() ? "," : "");
+        write_targets("fused", r);
+        write_mode("fused_threads", r, r.fusedThreads, ",");
+        write_mode("alias", r, r.alias, ",");
+        write_kernel("kernel", r.kernel, ",");
+        write_kernel("alias_kernel", r.aliasKernel, "}");
+        std::fprintf(json, "%s", i + 1 < results.size() ? ",\n" : "\n");
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json,
@@ -600,38 +638,17 @@ main(int argc, char **argv)
     std::fprintf(json, "  ]},\n");
     std::fprintf(json,
                  "  \"zoo\": {\"tiers\": [%u, %u],\n"
-                 "   \"unit\": \"branch-config updates per second\",\n"
+                 "   \"baseline\": \"batched[scalar]\",\n"
                  "   \"schemes\": [\n",
-                 zoo_serial.minTotalBits, zoo_serial.maxTotalBits);
+                 zoo_opts.minTotalBits, zoo_opts.maxTotalBits);
     for (std::size_t i = 0; i < zoo_results.size(); ++i) {
         const SchemeResult &r = zoo_results[i];
+        const KernelTelemetry &k = r.kernel;
         std::fprintf(json,
                      "    {\"scheme\": \"%s\", \"configs\": %zu,\n",
                      schemeKindName(r.kind), r.configs);
-        std::fprintf(json,
-                     "     \"per_config\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e},\n",
-                     r.serial.seconds, r.serial.throughput);
-        std::fprintf(json, "     \"batched\": {\n");
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-            const ModeResult &m = r.fused[t];
-            std::fprintf(
-                json,
-                "      \"%s\": {\"seconds\": %.6f, \"throughput\": "
-                "%.3e,\n       \"speedup\": %.3f, "
-                "\"speedup_vs_scalar_batched\": %.3f}%s\n",
-                simdTargetName(targets[t]), m.seconds, m.throughput,
-                r.serial.seconds / m.seconds,
-                r.fused[0].seconds / m.seconds,
-                t + 1 < targets.size() ? "," : "");
-        }
-        std::fprintf(json, "     },\n");
-        std::fprintf(json,
-                     "     \"batched_threads\": {\"seconds\": %.6f, "
-                     "\"throughput\": %.3e, \"speedup\": %.3f},\n",
-                     r.fusedThreads.seconds,
-                     r.fusedThreads.throughput,
-                     r.fusedThreadsSpeedup);
+        write_targets("batched", r);
+        write_mode("batched_threads", r, r.fusedThreads, ",");
         std::fprintf(
             json,
             "     \"kernel\": {\"target\": \"%s\", "
@@ -641,23 +658,17 @@ main(int argc, char **argv)
             "      \"segments_per_group\": %.2f, "
             "\"shards_per_group\": %.2f, \"worker_utilization\": "
             "%.3f}}%s\n",
-            simdTargetName(r.kernel.target),
-            static_cast<unsigned long long>(r.kernel.modelGroups),
-            static_cast<unsigned long long>(r.kernel.modelLanes),
-            r.kernel.modelLanesPerGroup(),
-            static_cast<unsigned long long>(r.kernel.modelBatches),
-            static_cast<unsigned long long>(r.kernel.blocksReplayed),
-            r.kernel.segmentsPerGroup(), r.kernel.shardsPerGroup(),
-            r.kernel.workerUtilization(),
+            simdTargetName(k.target),
+            static_cast<unsigned long long>(k.modelGroups),
+            static_cast<unsigned long long>(k.modelLanes),
+            k.modelLanesPerGroup(),
+            static_cast<unsigned long long>(k.modelBatches),
+            static_cast<unsigned long long>(k.blocksReplayed),
+            k.segmentsPerGroup(), k.shardsPerGroup(),
+            k.workerUtilization(),
             i + 1 < zoo_results.size() ? "," : "");
     }
     std::fprintf(json, "  ]},\n");
-    std::fprintf(json, "  \"geomean_fused_speedup\": {");
-    for (std::size_t t = 0; t < targets.size(); ++t)
-        std::fprintf(json, "\"%s\": %.3f%s",
-                     simdTargetName(targets[t]), per_target_geo[t],
-                     t + 1 < targets.size() ? ", " : "");
-    std::fprintf(json, "},\n");
     std::fprintf(json, "  \"geomean_simd_vs_scalar_fused\": {");
     for (std::size_t t = 1; t < targets.size(); ++t)
         std::fprintf(json, "\"%s\": %.3f%s",
@@ -665,8 +676,9 @@ main(int argc, char **argv)
                      t + 1 < targets.size() ? ", " : "");
     std::fprintf(json, "},\n");
     std::fprintf(json,
-                 "  \"geomean_fused_threads_speedup\": %.3f\n}\n",
-                 threaded_geo);
+                 "  \"geomean_fused_threads_speedup\": %.3f,\n"
+                 "  \"geomean_alias_speedup\": %.3f\n}\n",
+                 threaded_geo, alias_geo);
     std::fclose(json);
     std::printf("wrote %s\n", json_path.c_str());
 
@@ -742,6 +754,7 @@ main(int argc, char **argv)
     if (!cache_json)
         bpsim_fatal("cannot write ", cache_json_path);
     std::fprintf(cache_json, "{\n  \"bench\": \"perf_sweep_cache\",\n");
+    writeHost(cache_json);
     std::fprintf(cache_json, "  \"profile\": \"%s\",\n",
                  profile.c_str());
     std::fprintf(cache_json, "  \"branches\": %llu,\n",

@@ -32,12 +32,11 @@ class PackedPht
   public:
     /**
      * Padding bytes allocated past the last counter byte.  The
-     * AVX2/AVX-512 fused kernels read table bytes with 4-byte hardware
-     * gathers (vpgatherqd) at arbitrary byte offsets, and the AVX-512
-     * kernel writes the update back with a 4-byte scatter (vpscatterqd)
-     * that round-trips the three neighbour bytes unchanged -- so the
-     * highest counter byte needs 3 readable *and writable* bytes after
-     * it.  The slack lives inside the table's own allocation; its
+     * AVX-512 fused kernel reads table bytes with 4-byte hardware
+     * gathers (vpgatherqd) at arbitrary byte offsets and writes the
+     * update back with a 4-byte scatter (vpscatterqd) that round-trips
+     * the three neighbour bytes unchanged -- so the highest counter
+     * byte needs 3 readable *and writable* bytes after it.  The slack lives inside the table's own allocation; its
      * value is never interpreted.
      */
     static constexpr std::size_t kGatherSlack = 3;

@@ -77,24 +77,6 @@ replayLaneBatchScalar(const std::uint32_t *records, std::size_t n,
     }
 }
 
-void
-gatherLaneBytesScalar(const std::uint8_t *const *bases,
-                      const std::uint32_t *byte_idx, unsigned lanes,
-                      std::uint8_t *out)
-{
-    for (unsigned l = 0; l < lanes; ++l)
-        out[l] = bases[l][byte_idx[l]];
-}
-
-void
-scatterLaneBytesScalar(std::uint8_t *const *bases,
-                       const std::uint32_t *byte_idx, unsigned lanes,
-                       const std::uint8_t *in)
-{
-    for (unsigned l = 0; l < lanes; ++l)
-        bases[l][byte_idx[l]] = in[l];
-}
-
 /**
  * The perceptron reference kernel: the semantics of
  * PerceptronModel::step over a pre-hashed index stream, one lane at a
@@ -386,163 +368,13 @@ replayPerceptronBatchSse2(const std::uint32_t *idx,
 }
 
 // ---------------------------------------------------------------------
-// AVX2: 8 lanes per 256-bit vector with variable shifts and hardware
-// gathers.  The gather addresses are absolute (base pointer null,
-// scale 1): per-lane table base + byte index, loading 4 bytes at the
-// addressed byte -- which is why every table carries
-// PackedPht::kGatherSlack padding.  Stores are scalar through a
-// scratch spill (x86 has no AVX2 scatter).
-
-/** 8-lane inner body; lanes beyond `live` train the caller's dummy. */
-__attribute__((target("avx2"))) void
-replayLanes8Avx2(const std::uint32_t *records, std::size_t n,
-                 std::uint8_t *const bases[8],
-                 const std::uint32_t masks[8], std::uint64_t misses[8])
-{
-    const __m256i mask_v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(masks));
-    const __m256i base_lo = _mm256_set_epi64x(
-        reinterpret_cast<long long>(bases[3]),
-        reinterpret_cast<long long>(bases[2]),
-        reinterpret_cast<long long>(bases[1]),
-        reinterpret_cast<long long>(bases[0]));
-    const __m256i base_hi = _mm256_set_epi64x(
-        reinterpret_cast<long long>(bases[7]),
-        reinterpret_cast<long long>(bases[6]),
-        reinterpret_cast<long long>(bases[5]),
-        reinterpret_cast<long long>(bases[4]));
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i three = _mm256_set1_epi32(3);
-    const __m256i low8 = _mm256_set1_epi32(0xFF);
-
-    alignas(32) std::uint32_t bx[8];
-    alignas(32) std::uint32_t nb[8];
-    alignas(32) std::uint32_t acc_out[8];
-
-    std::size_t done = 0;
-    while (done < n) {
-        const std::size_t stop =
-            done + std::min<std::size_t>(n - done,
-                                         std::size_t{1} << 30);
-        __m256i acc = zero;
-        for (std::size_t i = done; i < stop; ++i) {
-            const std::uint32_t rc = records[i];
-            const std::uint32_t t = rc >> 31;
-            const __m256i idx = _mm256_and_si256(
-                _mm256_set1_epi32(static_cast<int>(rc)), mask_v);
-            const __m256i bidx = _mm256_srli_epi32(idx, 2);
-            const __m256i shift = _mm256_slli_epi32(
-                _mm256_and_si256(idx, three), 1);
-
-            const __m256i addr_lo = _mm256_add_epi64(
-                base_lo, _mm256_cvtepu32_epi64(
-                             _mm256_castsi256_si128(bidx)));
-            const __m256i addr_hi = _mm256_add_epi64(
-                base_hi, _mm256_cvtepu32_epi64(
-                             _mm256_extracti128_si256(bidx, 1)));
-            const __m128i g_lo = _mm256_i64gather_epi32(
-                static_cast<const int *>(nullptr), addr_lo, 1);
-            const __m128i g_hi = _mm256_i64gather_epi32(
-                static_cast<const int *>(nullptr), addr_hi, 1);
-            const __m256i byte = _mm256_and_si256(
-                _mm256_set_m128i(g_hi, g_lo), low8);
-
-            const __m256i cur = _mm256_and_si256(
-                _mm256_srlv_epi32(byte, shift), three);
-            const __m256i tv =
-                _mm256_set1_epi32(static_cast<int>(t));
-            const __m256i ntv =
-                _mm256_set1_epi32(static_cast<int>(t ^ 1u));
-            const __m256i inc = _mm256_andnot_si256(
-                _mm256_cmpeq_epi32(cur, three), tv);
-            const __m256i dec = _mm256_andnot_si256(
-                _mm256_cmpeq_epi32(cur, zero), ntv);
-            const __m256i next =
-                _mm256_sub_epi32(_mm256_add_epi32(cur, inc), dec);
-            const __m256i newbyte = _mm256_xor_si256(
-                byte, _mm256_sllv_epi32(_mm256_xor_si256(cur, next),
-                                        shift));
-
-            _mm256_store_si256(reinterpret_cast<__m256i *>(bx), bidx);
-            _mm256_store_si256(reinterpret_cast<__m256i *>(nb),
-                               newbyte);
-            bases[0][bx[0]] = static_cast<std::uint8_t>(nb[0]);
-            bases[1][bx[1]] = static_cast<std::uint8_t>(nb[1]);
-            bases[2][bx[2]] = static_cast<std::uint8_t>(nb[2]);
-            bases[3][bx[3]] = static_cast<std::uint8_t>(nb[3]);
-            bases[4][bx[4]] = static_cast<std::uint8_t>(nb[4]);
-            bases[5][bx[5]] = static_cast<std::uint8_t>(nb[5]);
-            bases[6][bx[6]] = static_cast<std::uint8_t>(nb[6]);
-            bases[7][bx[7]] = static_cast<std::uint8_t>(nb[7]);
-
-            acc = _mm256_add_epi32(
-                acc,
-                _mm256_xor_si256(_mm256_srli_epi32(cur, 1), tv));
-        }
-        _mm256_store_si256(reinterpret_cast<__m256i *>(acc_out), acc);
-        for (unsigned l = 0; l < 8; ++l)
-            misses[l] += acc_out[l];
-        done = stop;
-    }
-}
-
-void
-replayLaneBatchAvx2(const std::uint32_t *records, std::size_t n,
-                    LaneBatch &batch)
-{
-    for (unsigned l0 = 0; l0 < batch.lanes; l0 += 8) {
-        alignas(32) std::uint8_t dummy[8] = {};
-        std::uint8_t *bases[8];
-        alignas(32) std::uint32_t masks[8];
-        std::uint64_t misses[8] = {};
-        const unsigned live = std::min(8u, batch.lanes - l0);
-        for (unsigned l = 0; l < 8; ++l) {
-            bases[l] = l < live ? batch.pht[l0 + l] : dummy;
-            masks[l] = l < live ? batch.totalMask[l0 + l] : 0;
-        }
-        replayLanes8Avx2(records, n, bases, masks, misses);
-        for (unsigned l = 0; l < live; ++l)
-            batch.misses[l0 + l] += misses[l];
-    }
-}
-
-__attribute__((target("avx2"))) void
-gatherLanes8Avx2(const std::uint8_t *const *bases,
-                 const std::uint32_t *byte_idx, unsigned lanes,
-                 std::uint8_t *out)
-{
-    alignas(32) const std::uint8_t dummy[8] = {};
-    alignas(32) long long addrs[8];
-    for (unsigned l = 0; l < 8; ++l) {
-        const std::uint8_t *base = l < lanes ? bases[l] : dummy;
-        const std::uint32_t idx = l < lanes ? byte_idx[l] : 0;
-        addrs[l] = reinterpret_cast<long long>(base) + idx;
-    }
-    const __m128i g_lo = _mm256_i64gather_epi32(
-        static_cast<const int *>(nullptr),
-        _mm256_load_si256(reinterpret_cast<const __m256i *>(addrs)),
-        1);
-    const __m128i g_hi = _mm256_i64gather_epi32(
-        static_cast<const int *>(nullptr),
-        _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(addrs + 4)),
-        1);
-    alignas(32) std::uint32_t got[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(got),
-                       _mm256_set_m128i(g_hi, g_lo));
-    for (unsigned l = 0; l < lanes && l < 8; ++l)
-        out[l] = static_cast<std::uint8_t>(got[l]);
-}
-
-void
-gatherLaneBytesAvx2(const std::uint8_t *const *bases,
-                    const std::uint32_t *byte_idx, unsigned lanes,
-                    std::uint8_t *out)
-{
-    for (unsigned l0 = 0; l0 < lanes; l0 += 8)
-        gatherLanes8Avx2(bases + l0, byte_idx + l0, lanes - l0,
-                         out + l0);
-}
+// AVX2: the perceptron kernel only, 8 lanes per 256-bit vector with
+// hardware gathers.  The gather addresses are absolute (base pointer
+// null, scale 1): per-lane bank base + byte index, loading 4 bytes at
+// the addressed byte -- which is why every bank carries
+// PackedPht::kGatherSlack padding.  (There is no AVX2 2-bit replay
+// kernel: one measured no faster than SSE2, so 2-bit batches on AVX2
+// hosts use SSE2.)
 
 /**
  * 8-lane perceptron inner body.  Weight reads are hardware gathers on
@@ -687,9 +519,10 @@ replayPerceptronBatchAvx2(const std::uint32_t *idx,
 #if defined(BPSIM_HAVE_AVX512)
 
 // ---------------------------------------------------------------------
-// AVX-512: 16 lanes per 512-bit vector.  Addressing mirrors AVX2 --
-// two 8-wide vpgatherqd over absolute 64-bit addresses -- but the
-// gathered dword is kept whole (not masked to the low byte) so the
+// AVX-512: 16 lanes per 512-bit vector.  Addressing mirrors the AVX2
+// perceptron kernel -- two 8-wide vpgatherqd over absolute 64-bit
+// addresses -- and for the 2-bit replay the gathered dword is kept
+// whole (not masked to the low byte) so the
 // update can be written back with vpscatterqd: the counter XOR only
 // touches bits 0..7 (shift <= 6, 2-bit field), the upper three bytes
 // round-trip unchanged, and because lanes own disjoint tables the
@@ -813,42 +646,6 @@ replayLaneBatchAvx512(const std::uint32_t *records, std::size_t n,
         for (unsigned l = 0; l < live; ++l)
             batch.misses[l0 + l] += misses[l];
     }
-}
-
-__attribute__((target("avx512f"))) void
-gatherLanes16Avx512(const std::uint8_t *const *bases,
-                    const std::uint32_t *byte_idx, unsigned lanes,
-                    std::uint8_t *out)
-{
-    alignas(64) const std::uint8_t dummy[8] = {};
-    alignas(64) long long addrs[16];
-    for (unsigned l = 0; l < 16; ++l) {
-        const std::uint8_t *base = l < lanes ? bases[l] : dummy;
-        const std::uint32_t idx = l < lanes ? byte_idx[l] : 0;
-        addrs[l] = reinterpret_cast<long long>(base) + idx;
-    }
-    const __m256i g_lo = _mm512_i64gather_epi32(
-        _mm512_load_si512(addrs),
-        static_cast<const int *>(nullptr), 1);
-    const __m256i g_hi = _mm512_i64gather_epi32(
-        _mm512_load_si512(addrs + 8),
-        static_cast<const int *>(nullptr), 1);
-    alignas(64) std::uint32_t got[16];
-    _mm512_store_si512(
-        got, _mm512_inserti64x4(_mm512_castsi256_si512(g_lo),
-                                g_hi, 1));
-    for (unsigned l = 0; l < lanes && l < 16; ++l)
-        out[l] = static_cast<std::uint8_t>(got[l]);
-}
-
-void
-gatherLaneBytesAvx512(const std::uint8_t *const *bases,
-                      const std::uint32_t *byte_idx, unsigned lanes,
-                      std::uint8_t *out)
-{
-    for (unsigned l0 = 0; l0 < lanes; l0 += 16)
-        gatherLanes16Avx512(bases + l0, byte_idx + l0, lanes - l0,
-                            out + l0);
 }
 
 /**
@@ -1123,13 +920,13 @@ replayLaneBatch(SimdTarget target, const std::uint32_t *records,
     // Occupancy-aware dispatch: a vector kernel pays for its full
     // width no matter how many lanes are live (dead lanes replay into
     // a dummy table), so an under-occupied batch is slower than the
-    // scalar loop.  Measured on the scan in bench/micro_predictor_ops
-    // terms, the 8-wide AVX2 kernel runs ~2x a scalar lane-update and
-    // the 4-wide SSE2 kernel ~1.5x, putting break-even at 5 and 3
-    // live lanes respectively; the 16-wide AVX-512 kernel only beats
-    // two AVX2 passes once more than one 8-lane chunk is live, so its
-    // break-even sits at 9.  Every path is bit-identical, so this is
-    // purely a cost choice.
+    // scalar loop.  The 4-wide SSE2 kernel runs ~1.5x a scalar
+    // lane-update, putting its break-even at 3 live lanes; the 16-wide
+    // AVX-512 kernel only beats SSE2 passes once more than 8 lanes are
+    // live.  There is no AVX2 2-bit kernel: one measured no faster
+    // than SSE2 (0.96x of scalar vs SSE2's 1.05x), so AVX2 hosts take
+    // the SSE2 kernel.  Every path is bit-identical, so this is purely
+    // a cost choice.
     switch (target) {
 #if BPSIM_SIMD_X86
       case SimdTarget::AVX512:
@@ -1141,11 +938,6 @@ replayLaneBatch(SimdTarget target, const std::uint32_t *records,
 #endif
         [[fallthrough]];
       case SimdTarget::AVX2:
-        if (batch.lanes >= 5) {
-            replayLaneBatchAvx2(records, n, batch);
-            return;
-        }
-        [[fallthrough]];
       case SimdTarget::SSE2:
         if (batch.lanes >= 3) {
             replayLaneBatchSse2(records, n, batch);
@@ -1179,9 +971,8 @@ replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
                  " overflows the per-call miss accumulator");
     // Same occupancy reasoning as replayLaneBatch: dead padding lanes
     // still pay gathers and stores, so under-occupied batches drop to
-    // the next narrower kernel.  The break-evens are shared with the
-    // 2-bit kernels -- the per-lane work differs (T gathers vs 1) but
-    // the scalar loop scales by the same T, so the ratios hold.
+    // the next narrower kernel: 9 live lanes for AVX-512 (as for the
+    // 2-bit replay), 5 for the 8-wide AVX2 kernel, 3 for SSE2.
     switch (target) {
 #if BPSIM_SIMD_X86
       case SimdTarget::AVX512:
@@ -1209,44 +1000,6 @@ replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
         break;
     }
     replayPerceptronBatchScalar(idx, taken, n, batch);
-}
-
-void
-gatherLaneBytes(SimdTarget target, const std::uint8_t *const *bases,
-                const std::uint32_t *byte_idx, unsigned lanes,
-                std::uint8_t *out)
-{
-    bpsim_assert(lanes <= LaneBatch::kMaxLanes, "gather width ",
-                 lanes, " out of range");
-    switch (target) {
-#if BPSIM_SIMD_X86
-#if defined(BPSIM_HAVE_AVX512)
-      case SimdTarget::AVX512:
-        gatherLaneBytesAvx512(bases, byte_idx, lanes, out);
-        return;
-#endif
-      case SimdTarget::AVX2:
-        gatherLaneBytesAvx2(bases, byte_idx, lanes, out);
-        return;
-#endif
-      default:
-        gatherLaneBytesScalar(bases, byte_idx, lanes, out);
-        return;
-    }
-}
-
-void
-scatterLaneBytes(SimdTarget target, std::uint8_t *const *bases,
-                 const std::uint32_t *byte_idx, unsigned lanes,
-                 const std::uint8_t *in)
-{
-    bpsim_assert(lanes <= LaneBatch::kMaxLanes, "scatter width ",
-                 lanes, " out of range");
-    // Every target stores scalar: vpscatterqd moves 4-byte elements,
-    // so a byte-granular scatter needs a gather round-trip first, and
-    // four byte stores stay cheaper than that emulation.
-    (void)target;
-    scatterLaneBytesScalar(bases, byte_idx, lanes, in);
 }
 
 } // namespace bpsim

@@ -1,36 +1,42 @@
 /**
  * @file
- * Portable lane-batched SIMD layer for the fused sweep kernel.
+ * Portable lane-batched SIMD layer for the fused sweep kernels.
  *
  * The fused replay (sim/sweep.cc) trains one packed pattern table per
  * configuration "lane", and every lane in a group updates a *disjoint*
  * table from the same per-branch fused record -- so the per-branch work
- * is trivially data-parallel across lanes.  This header exposes that
- * parallelism behind a dispatch target chosen once at runtime:
+ * is trivially data-parallel across lanes.  The batched perceptron
+ * replay has the same shape over int8 weight banks.  This header
+ * exposes that parallelism behind a dispatch target chosen once at
+ * runtime.  Kernels per target (2-bit replay / perceptron replay):
  *
- *   Scalar  the reference implementation -- exactly the PR 3 fused
- *           inner loop (one load, one AND, one packed-counter RMW per
- *           lane).  Always available, and the semantics every vector
- *           kernel is held to, bit for bit (tests/test_simd.cc,
- *           tests/differential/test_fused_kernel.cc).
- *   SSE2    4 lanes per 128-bit vector.  No variable per-element
- *           shifts exist in SSE2, so counter extraction and insertion
- *           go through power-of-two multiplies (pmullw); table bytes
- *           are moved with scalar loads/stores.
- *   AVX2    8 lanes per 256-bit vector with hardware gathers
- *           (vpgatherqd on absolute byte addresses) and variable
- *           shifts (vpsrlvd/vpsllvd); stores remain scalar because x86
- *           has no AVX2 scatter.
- *   AVX512  16 lanes per 512-bit vector.  Gathers as AVX2 (two
- *           8-wide vpgatherqd on absolute addresses), but stores go
- *           through hardware scatters (vpscatterqd), which is safe
- *           precisely because lanes train disjoint tables -- the
+ *   Scalar  2-bit and perceptron.  The reference implementations --
+ *           the 2-bit loop is one load, one AND, one packed-counter
+ *           RMW per lane.  Always available, and the semantics every
+ *           vector kernel is held to, bit for bit (tests/test_simd.cc,
+ *           tests/differential/test_fused_kernel.cc,
+ *           tests/differential/test_model_batch.cc).
+ *   SSE2    2-bit and perceptron, 4 lanes per 128-bit vector.  No
+ *           variable per-element shifts exist in SSE2, so counter
+ *           extraction and insertion go through power-of-two
+ *           multiplies (pmullw); table bytes are moved with scalar
+ *           loads/stores.
+ *   AVX2    perceptron only, 8 lanes per 256-bit vector with hardware
+ *           gathers (vpgatherqd on absolute byte addresses); stores
+ *           remain scalar because x86 has no AVX2 scatter.  There is
+ *           no AVX2 2-bit kernel -- one measured no faster than SSE2
+ *           -- so 2-bit batches on an AVX2 target run the SSE2 kernel.
+ *   AVX512  2-bit and perceptron, 16 lanes per 512-bit vector.  Two
+ *           8-wide vpgatherqd on absolute addresses; the 2-bit replay
+ *           stores through hardware scatters (vpscatterqd), which is
+ *           safe precisely because lanes train disjoint tables -- the
  *           4-byte scatter element only ever lands inside the owning
  *           lane's allocation (table bytes + PackedPht slack).
- *           Compiled only when the toolchain understands the avx512f
- *           target attribute (CMake probe -> BPSIM_HAVE_AVX512);
- *           otherwise the target reports unsupported and dispatch
- *           clamps to AVX2.
+ *           Under-occupied 2-bit batches (8 or fewer lanes) drop to
+ *           SSE2.  Compiled only when the toolchain understands the
+ *           avx512f target attribute (CMake probe ->
+ *           BPSIM_HAVE_AVX512); otherwise the target reports
+ *           unsupported and dispatch clamps to AVX2.
  *
  * Dispatch is runtime CPUID -- no ISA flags are baked into tier-1
  * builds, so one binary runs everywhere and selects the widest kernel
@@ -45,10 +51,10 @@
  * Status before any work starts.
  *
  * AVX2/AVX-512 gathers load 4 bytes at the addressed table byte -- and
- * the AVX-512 replay scatters 4 bytes back -- so every buffer a
- * LaneBatch points at must carry PackedPht::kGatherSlack writable
- * padding bytes past its last addressable byte (PackedPht allocates
- * the slack itself).
+ * the AVX-512 2-bit replay scatters 4 bytes back -- so every buffer a
+ * LaneBatch or PerceptronBatch points at must carry
+ * PackedPht::kGatherSlack padding bytes past its last addressable byte
+ * (writable for LaneBatch; PackedPht allocates the slack itself).
  */
 
 #ifndef BPSIM_COMMON_SIMD_HH
@@ -114,7 +120,7 @@ std::vector<SimdTarget> supportedSimdTargets();
  * One batch of fused-kernel lanes in structure-of-arrays form.  Lane l
  * trains the packed 2-bit counter table at pht[l] (a PackedPht data()
  * pointer -- the table carries PackedPht::kGatherSlack writable bytes
- * of padding for the AVX2/AVX-512 gathers and scatters) with counter
+ * of padding for the AVX-512 gathers and scatters) with counter
  * index `record & totalMask[l]`; misses[l] accumulates its
  * mispredictions.  Live lanes must point at pairwise-disjoint
  * allocations: the AVX-512 replay kernel read-modify-writes a 4-byte
@@ -144,7 +150,7 @@ struct LaneBatch
  * kernel's break-even width) drops to the next narrower kernel,
  * because vector kernels pay for dead padding lanes.  Batches wider
  * than a kernel's native width are processed in native-width chunks
- * (16 lanes on an AVX2 host run as two 8-wide calls).
+ * (16 lanes on an AVX2 host run as four 4-wide SSE2 calls).
  */
 void replayLaneBatch(SimdTarget target, const std::uint32_t *records,
                      std::size_t n, LaneBatch &batch);
@@ -201,32 +207,6 @@ struct PerceptronBatch
 void replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
                            const std::uint8_t *taken, std::size_t n,
                            PerceptronBatch &batch);
-
-/**
- * Gather one table byte per lane: out[l] = bases[l][byteIdx[l]] for
- * l < lanes (lanes <= LaneBatch::kMaxLanes).  The AVX2/AVX-512
- * variants use hardware gathers over absolute addresses, so each
- * bases[l] buffer must extend PackedPht::kGatherSlack bytes past
- * byteIdx[l].
- */
-void gatherLaneBytes(SimdTarget target,
-                     const std::uint8_t *const *bases,
-                     const std::uint32_t *byteIdx, unsigned lanes,
-                     std::uint8_t *out);
-
-/**
- * Scatter one table byte per lane: bases[l][byteIdx[l]] = in[l].
- * Every target issues scalar stores: AVX-512's vpscatterqd moves
- * 4-byte elements, so a byte-granular scatter would need a
- * read-modify-write round trip that costs more than four byte stores
- * (the replay kernel can use the hardware scatter only because it
- * already holds the gathered 4-byte window).  The helper exists so
- * gather/scatter round-trips are pinned per target (tests) and
- * measurable (bench/micro_predictor_ops).
- */
-void scatterLaneBytes(SimdTarget target, std::uint8_t *const *bases,
-                      const std::uint32_t *byteIdx, unsigned lanes,
-                      const std::uint8_t *in);
 
 } // namespace bpsim
 

@@ -5,9 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <exception>
 #include <thread>
+
+#include "common/logging.hh"
 
 namespace bpsim::service {
 
@@ -536,6 +539,7 @@ SweepServer::serveSocket(const std::string &path)
     listenFd_.store(fd, std::memory_order_release);
 
     std::vector<std::thread> workers;
+    Status status;
     while (!shutdownRequested()) {
         int conn = ::accept(fd, nullptr, nullptr);
         if (conn < 0) {
@@ -543,7 +547,15 @@ SweepServer::serveSocket(const std::string &path)
                 continue;
             if (shutdownRequested())
                 break;
-            break; // listener failed; stop accepting
+            // The listener failed (EMFILE, ENFILE, ENOMEM, ...): stop
+            // accepting, wake the open connections so their workers
+            // can be joined, and report the failure to the caller.
+            const int err = errno;
+            status = BPSIM_ERROR("accept() on ", path,
+                                 " failed: ", std::strerror(err));
+            bpsim_warn("sweep server: ", status.error().message());
+            interruptTransports();
+            break;
         }
         {
             std::lock_guard<std::mutex> lock(connMutex_);
@@ -558,7 +570,7 @@ SweepServer::serveSocket(const std::string &path)
     ::unlink(path.c_str());
     for (std::thread &worker : workers)
         worker.join();
-    return Status();
+    return status;
 }
 
 void
@@ -572,6 +584,17 @@ SweepServer::serveConnection(int fd)
     std::FILE *out = wfd >= 0 ? ::fdopen(wfd, "w") : nullptr;
     if (in && out)
         static_cast<void>(servePipe(in, out));
+
+    // Forget the descriptor BEFORE closing it: once closed, a
+    // concurrently accepted connection may reuse the number, and its
+    // entry must be neither erased here nor shut down by
+    // interruptTransports on this connection's behalf.
+    {
+        std::lock_guard<std::mutex> lock(connMutex_);
+        connFds_.erase(
+            std::remove(connFds_.begin(), connFds_.end(), fd),
+            connFds_.end());
+    }
     if (in)
         std::fclose(in);
     else
@@ -580,11 +603,6 @@ SweepServer::serveConnection(int fd)
         std::fclose(out);
     else if (wfd >= 0)
         ::close(wfd);
-
-    std::lock_guard<std::mutex> lock(connMutex_);
-    connFds_.erase(
-        std::remove(connFds_.begin(), connFds_.end(), fd),
-        connFds_.end());
 }
 
 void

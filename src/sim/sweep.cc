@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <set>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/packed_pht.hh"
@@ -15,148 +16,6 @@ namespace bpsim {
 
 namespace {
 
-/**
- * The inner simulation kernel: one configuration, with the row index and
- * the all-ones-pattern flag supplied per instance by functors so each
- * scheme compiles to a tight loop.
- */
-template <typename RowFn, typename OnesFn>
-ConfigResult
-runKernel(const PreparedTrace &t, unsigned row_bits, unsigned col_bits,
-          bool track_aliasing, RowFn row_of, OnesFn all_ones_of)
-{
-    const std::uint64_t row_mask = mask(row_bits);
-    const std::uint64_t col_mask = mask(col_bits);
-    std::vector<TwoBitCounter> counters(
-        std::size_t{1} << (row_bits + col_bits));
-    AliasTracker tracker(track_aliasing ? counters.size() : 1);
-
-    std::uint64_t mispredicts = 0;
-    const std::size_t n = t.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t row = row_of(i) & row_mask;
-        std::uint64_t col = wordIndex(t.pc(i)) & col_mask;
-        auto idx =
-            static_cast<std::size_t>((row << col_bits) | col);
-        if (track_aliasing)
-            tracker.access(idx, t.pc(i),
-                           row_bits > 0 && all_ones_of(i));
-        bool taken = t.taken(i);
-        if (counters[idx].predict() != taken)
-            ++mispredicts;
-        counters[idx].update(taken);
-    }
-
-    ConfigResult out;
-    out.mispRate =
-        n ? static_cast<double>(mispredicts) / static_cast<double>(n)
-          : 0.0;
-    if (track_aliasing) {
-        out.aliasRate = tracker.aliasRate();
-        out.harmlessFraction = tracker.harmlessFraction();
-    }
-    return out;
-}
-
-/**
- * Replay a full multi-table model (TAGE / perceptron) over the trace.
- * These schemes have no packed-counter form, no AliasTracker hook (the
- * aliasing/harmless surfaces stay zero; analyzeInterference owns their
- * interference story), and no fused kernel -- one model, one pass.
- */
-template <typename Model>
-ConfigResult
-runModelReplay(const PreparedTrace &t, Model model)
-{
-    std::uint64_t mispredicts = 0;
-    const std::size_t n = t.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        bool taken = t.taken(i);
-        if (model.step(t.pc(i), t.globalHistory(i), taken).prediction !=
-            taken)
-            ++mispredicts;
-    }
-    ConfigResult out;
-    out.mispRate =
-        n ? static_cast<double>(mispredicts) / static_cast<double>(n)
-          : 0.0;
-    return out;
-}
-
-/** Dispatch the kernel for one configuration of one scheme. */
-ConfigResult
-runConfig(const PreparedTrace &t, SchemeKind kind, unsigned row_bits,
-          unsigned col_bits, const SweepOptions &opts,
-          const std::vector<std::uint64_t> *aux_stream)
-{
-    const bool track_aliasing = opts.trackAliasing;
-    const std::uint64_t row_mask = mask(row_bits);
-    auto never_ones = [](std::size_t) { return false; };
-
-    switch (kind) {
-      case SchemeKind::AddressIndexed:
-        bpsim_assert(row_bits == 0, "address-indexed tables have no "
-                     "rows");
-        return runKernel(t, row_bits, col_bits, track_aliasing,
-                         [](std::size_t) { return std::uint64_t{0}; },
-                         never_ones);
-
-      case SchemeKind::GAg:
-      case SchemeKind::GAs:
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) { return t.globalHistory(i); },
-            [&](std::size_t i) {
-                return (t.globalHistory(i) & row_mask) == row_mask;
-            });
-
-      case SchemeKind::Gshare:
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) {
-                return t.globalHistory(i) ^ wordIndex(t.pc(i));
-            },
-            [&](std::size_t i) {
-                // Harmlessness keys on the outcome pattern itself.
-                return (t.globalHistory(i) & row_mask) == row_mask;
-            });
-
-      case SchemeKind::Path:
-        bpsim_assert(aux_stream, "path sweep needs a history stream");
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) { return (*aux_stream)[i]; },
-            never_ones);
-
-      case SchemeKind::PAsPerfect:
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) { return t.selfHistory(i); },
-            [&](std::size_t i) {
-                return (t.selfHistory(i) & row_mask) == row_mask;
-            });
-
-      case SchemeKind::PAsFinite:
-        bpsim_assert(aux_stream, "finite-PAs sweep needs a BHT stream");
-        return runKernel(
-            t, row_bits, col_bits, track_aliasing,
-            [&](std::size_t i) { return (*aux_stream)[i]; },
-            [&](std::size_t i) {
-                return ((*aux_stream)[i] & row_mask) == row_mask;
-            });
-
-      case SchemeKind::Tage:
-        return runModelReplay(
-            t, TageModel(tageSweepParams(row_bits, col_bits, opts)));
-
-      case SchemeKind::Perceptron:
-        return runModelReplay(
-            t, PerceptronModel(
-                   perceptronSweepParams(row_bits, col_bits, opts)));
-    }
-    bpsim_panic("unreachable scheme kind");
-}
-
 /** Resolved within-group execution shape for one fused replay. */
 struct ReplayExec
 {
@@ -166,6 +25,20 @@ struct ReplayExec
     unsigned segments = 1;
     /** Warm-up branches before each speculative segment. */
     std::size_t warmup = 2048;
+    /**
+     * Alias lanes: every 2-bit lane also feeds its accesses to an
+     * AliasTracker (Figure 5).  Tracking is exact-only, so groups
+     * that track run one segment (see runGroup).
+     */
+    bool trackAliasing = false;
+};
+
+/**
+ * The harmless-pattern source of a scheme whose rows carry no outcome
+ * history (AddressIndexed, Path): its conflicts are never harmless.
+ */
+struct NoPattern
+{
 };
 
 /**
@@ -173,6 +46,17 @@ struct ReplayExec
  * Per branch the raw row value and the pc word index are computed once
  * (the members share them by construction); each member then derives
  * its own table index by masking and trains its packed counter table.
+ *
+ * Alias lanes (exec.trackAliasing) each own an AliasTracker -- the
+ * class the online TwoLevelPredictor uses, so aliasing is defined in
+ * one place -- and call tracker.access(idx, pc, allOnes) beside the
+ * counter update, on the same index.  pattern_of gives the harmless-
+ * pattern source: the outcome history the row was built from, which
+ * for gshare is the history and not the hashed row.  An access is
+ * harmless when the lane has rows and that history's low rowBits bits
+ * are all ones; schemes with no outcome history pass NoPattern.  Alias
+ * lanes replay lane-major (see replay_alias_lane) inside the same
+ * shard task grid; everything below describes the plain lanes.
  *
  * The pass is block-tiled for locality: a block of branches is decoded
  * once into a compact per-branch record, then every lane makes one
@@ -215,13 +99,14 @@ struct ReplayExec
  * shard/worker counts; segments == 1 replays [0, n) cold-started
  * exactly like the serial engine.
  */
-template <typename RowFn>
+template <typename RowFn, typename PatternFn>
 void
 runFusedReplay(const PreparedTrace &t,
                const std::vector<ConfigJob> &jobs,
                const std::vector<std::size_t> &members, RowFn row_of,
-               ConfigResult *slots, SimdTarget target,
-               const ReplayExec &exec, KernelTelemetry *telemetry)
+               [[maybe_unused]] PatternFn pattern_of, ConfigResult *slots,
+               SimdTarget target, const ReplayExec &exec,
+               KernelTelemetry *telemetry)
 {
     struct LaneSpec
     {
@@ -287,6 +172,8 @@ runFusedReplay(const PreparedTrace &t,
     const std::size_t segs = std::max<std::size_t>(
         1, std::min<std::size_t>(exec.segments,
                                  std::max<std::size_t>(nblocks, 1)));
+    bpsim_assert(!exec.trackAliasing || segs == 1,
+                 "alias lanes replay exactly (one segment)");
     const std::size_t tasks = shards * segs;
     const auto shard_begin = [&](std::size_t s) {
         return s * lane_count / shards;
@@ -297,9 +184,54 @@ runFusedReplay(const PreparedTrace &t,
 
     // Per-(segment, lane) mispredict counts: task (s, k) writes only
     // its shard's slice of row k, so placement is deterministic and
-    // unsynchronised.
+    // unsynchronised.  Alias lanes run one segment, so their aliasing
+    // results need one slot per lane.
     std::vector<std::uint64_t> seg_misses(segs * lane_count, 0);
+    std::vector<ConfigResult> lane_alias(
+        exec.trackAliasing ? lane_count : 0);
     std::vector<KernelTelemetry> task_tel(tasks);
+
+    // An alias lane: one lane-major pass over [lo, hi) straight from
+    // the trace columns, each branch's counter update and tracker
+    // access side by side on the same index.  A tracker holds 8 bytes
+    // per counter, so replaying one lane at a time keeps it hot in
+    // cache for the whole pass and keeps one alive per task, where
+    // block-tiling every lane's tracker through each block would miss
+    // in cache and hold them all.  For the same reason the counters are
+    // one byte each (SatCounter<2>, bit-identical to PackedPht): a
+    // lone scalar lane stalls on read-modify-writes of a packed byte
+    // shared by four counters.
+    const auto replay_alias_lane = [&](const LaneSpec &spec,
+                                       std::size_t lo, std::size_t hi,
+                                       ConfigResult &alias) {
+        constexpr bool has_pattern =
+            !std::is_same_v<PatternFn, NoPattern>;
+        // The all-ones pattern of rowBits; a lane without rows (or a
+        // scheme without an outcome-history pattern) is never
+        // harmless.
+        const std::uint64_t ones = has_pattern ? spec.rowMask : 0;
+        std::vector<TwoBitCounter> counters(
+            (static_cast<std::size_t>(spec.rowMask) + 1) *
+            (static_cast<std::size_t>(spec.colMask) + 1));
+        AliasTracker tracker(counters.size());
+        std::uint64_t misses = 0;
+        for (std::size_t g = lo; g < hi; ++g) {
+            const Addr pc = t.pc(g);
+            const auto idx = static_cast<std::size_t>(
+                ((row_of(g) & spec.rowMask) << spec.colBits) |
+                (wordIndex(pc) & spec.colMask));
+            bool harmless = false;
+            if constexpr (has_pattern)
+                harmless = ones != 0 && (pattern_of(g) & ones) == ones;
+            tracker.access(idx, pc, harmless);
+            const bool taken = t.taken(g);
+            misses += counters[idx].predict() != taken;
+            counters[idx].update(taken);
+        }
+        alias.aliasRate = tracker.aliasRate();
+        alias.harmlessFraction = tracker.harmlessFraction();
+        return misses;
+    };
 
     const auto run_task = [&](std::size_t task_idx) {
         const auto t0 = std::chrono::steady_clock::now();
@@ -316,6 +248,16 @@ runFusedReplay(const PreparedTrace &t,
             seg_lo > exec.warmup ? seg_lo - exec.warmup : 0;
         KernelTelemetry &tel = task_tel[task_idx];
         tel.warmupBranches += seg_lo - warm_lo;
+
+        if (exec.trackAliasing) {
+            for (std::size_t j = lane_lo; j < lane_hi; ++j)
+                seg_misses[j] = replay_alias_lane(specs[j], seg_lo,
+                                                  seg_hi, lane_alias[j]);
+            tel.busySeconds += std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+            return;
+        }
 
         // Private tables per task: shards must not share bytes (the
         // SIMD kernels require disjoint lanes), and speculative
@@ -482,7 +424,9 @@ runFusedReplay(const PreparedTrace &t,
     counters.target = target;
     counters.fusedGroups = 1;
     counters.lanes = lane_count;
-    counters.wideLanes = narrow ? 0 : lane_count;
+    counters.wideLanes =
+        narrow || exec.trackAliasing ? 0 : lane_count;
+    counters.aliasLanes = exec.trackAliasing ? lane_count : 0;
     counters.segments = segs;
     counters.laneShards = shards;
     counters.shardTasks = tasks;
@@ -507,7 +451,7 @@ runFusedReplay(const PreparedTrace &t,
         for (std::size_t k = 0; k < segs; ++k)
             total += seg_misses[k * lane_count + j];
         ConfigResult &out = slots[specs[j].member];
-        out = ConfigResult{};
+        out = exec.trackAliasing ? lane_alias[j] : ConfigResult{};
         out.mispRate =
             n ? static_cast<double>(total) / static_cast<double>(n)
               : 0.0;
@@ -962,8 +906,9 @@ KernelTelemetry::hotBytesPerBranch() const
 {
     if (lanes == 0)
         return 0.0;
-    return (4.0 * static_cast<double>(lanes - wideLanes) +
-            17.0 * static_cast<double>(wideLanes)) /
+    const std::uint64_t streamed = wideLanes + aliasLanes;
+    return (4.0 * static_cast<double>(lanes - streamed) +
+            17.0 * static_cast<double>(streamed)) /
            static_cast<double>(lanes);
 }
 
@@ -1004,6 +949,7 @@ KernelTelemetry::merge(const KernelTelemetry &other)
     fallbackJobs += other.fallbackJobs;
     lanes += other.lanes;
     wideLanes += other.wideLanes;
+    aliasLanes += other.aliasLanes;
     laneBatches += other.laneBatches;
     blocksReplayed += other.blocksReplayed;
     segments += other.segments;
@@ -1124,41 +1070,14 @@ planSweep(SchemeKind kind, const SweepOptions &opts)
 }
 
 std::vector<FusedGroup>
-planFusedGroups(const std::vector<ConfigJob> &jobs,
-                const SweepOptions &opts, unsigned threads)
+planFusedGroups(const std::vector<ConfigJob> &jobs, unsigned threads)
 {
-    std::vector<FusedGroup> groups;
-
-    // AliasTracker needs the per-access branch address, which the
-    // packed kernel deliberately does not thread through -- the 2-bit
-    // family falls back to one per-config replay per job when aliasing
-    // is tracked (Figure 5 semantics untouched).  The zoo is exempt
-    // from that fallback: its aliasing surfaces are identically zero
-    // whether tracked or not (analyzeInterference owns its
-    // interference story), so zoo jobs batch whenever fusion is on.
-    const auto zoo = [](SchemeKind kind) {
-        return kind == SchemeKind::Tage ||
-               kind == SchemeKind::Perceptron;
-    };
-    if (!opts.fuseJobs ||
-        (opts.trackAliasing &&
-         std::none_of(jobs.begin(), jobs.end(),
-                      [&](const ConfigJob &j) { return zoo(j.kind); }))) {
-        groups.reserve(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            FusedGroup g;
-            g.kind = jobs[i].kind;
-            g.streamRowBits = jobs[i].rowBits;
-            g.fused = false;
-            g.jobs.push_back(i);
-            groups.push_back(std::move(g));
-        }
-        return groups;
-    }
-
     // Bucket by shared first-level stream, in first-appearance order.
     // Only PAsFinite streams depend on the row width (the 0xC3FF reset
     // prefix differs); every other scheme shares one bucket per kind.
+    // Zoo jobs bucket into model groups by kind the same way: one
+    // sweep's members share tagBits/histories/tables by construction,
+    // so any subset batches together.
     struct Bucket
     {
         SchemeKind kind;
@@ -1168,20 +1087,6 @@ planFusedGroups(const std::vector<ConfigJob> &jobs,
     std::vector<Bucket> buckets;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const ConfigJob &job = jobs[i];
-        // Aliasing-tracked 2-bit jobs still take the per-config
-        // fallback (only reachable in a mixed plan alongside zoo
-        // jobs); zoo jobs bucket into model groups by kind -- one
-        // sweep's members share tagBits/histories/tables by
-        // construction, so any subset batches together.
-        if (opts.trackAliasing && !zoo(job.kind)) {
-            FusedGroup g;
-            g.kind = job.kind;
-            g.streamRowBits = job.rowBits;
-            g.fused = false;
-            g.jobs.push_back(i);
-            groups.push_back(std::move(g));
-            continue;
-        }
         const unsigned key =
             job.kind == SchemeKind::PAsFinite ? job.rowBits : 0;
         Bucket *bucket = nullptr;
@@ -1203,6 +1108,7 @@ planFusedGroups(const std::vector<ConfigJob> &jobs,
     // chunk replays the trace once; the per-job results are identical
     // for any chunking, so the split is free to vary with the thread
     // count.
+    std::vector<FusedGroup> groups;
     const std::size_t chunk_target = threads > 1 ? threads : 1;
     for (Bucket &bucket : buckets) {
         const std::size_t size = bucket.jobs.size();
@@ -1215,7 +1121,6 @@ planFusedGroups(const std::vector<ConfigJob> &jobs,
             FusedGroup g;
             g.kind = bucket.kind;
             g.streamRowBits = bucket.streamRowBits;
-            g.fused = true;
             g.jobs.assign(bucket.jobs.begin() +
                               static_cast<std::ptrdiff_t>(next),
                           bucket.jobs.begin() +
@@ -1482,96 +1387,72 @@ StreamCache::peakResidentStreams() const
     return peakResidentStreams_;
 }
 
-ConfigResult
-runConfigJob(const ConfigJob &job, StreamCache &cache)
-{
-    const std::vector<std::uint64_t> *aux =
-        cache.stream(job.kind, job.rowBits);
-    ConfigResult out =
-        runConfig(cache.trace(), job.kind, job.rowBits, job.colBits,
-                  cache.options(), aux);
-    if (job.kind == SchemeKind::PAsFinite)
-        out.bhtMissRate = cache.bhtMissRate(job.rowBits);
-    return out;
-}
+namespace {
 
+/**
+ * Execute one group under an explicit within-group shape.  Alias
+ * tracking is a lane capability of the 2-bit family only (the zoo's
+ * aliasing surfaces stay zero; analyzeInterference owns its
+ * interference story), and alias groups replay exactly: one segment
+ * whatever @p exec asks for.
+ */
 void
-runFusedGroup(const FusedGroup &group,
-              const std::vector<ConfigJob> &jobs, StreamCache &cache,
-              ConfigResult *slots, KernelTelemetry *telemetry)
+runGroup(const FusedGroup &group, const std::vector<ConfigJob> &jobs,
+         StreamCache &cache, ConfigResult *slots,
+         KernelTelemetry *telemetry, ReplayExec exec)
 {
-    if (!group.fused) {
-        const auto start = std::chrono::steady_clock::now();
-        for (std::size_t member : group.jobs)
-            slots[member] = runConfigJob(jobs[member], cache);
-        if (telemetry) {
-            // Zero-lane groups still report a measured (busy, span)
-            // pair -- one serial executor, fully busy -- so sweep-level
-            // utilization stays well-defined when every group took the
-            // fallback path (aliasing-tracked or multi-table sweeps).
-            const double seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            KernelTelemetry counters;
-            counters.target = resolveSimdTarget(cache.options().simd);
-            counters.fallbackJobs = group.jobs.size();
-            counters.busySeconds = seconds;
-            counters.spanSeconds = seconds;
-            counters.shardWorkers = 1;
-            telemetry->merge(counters);
-        }
-        return;
-    }
-
     const PreparedTrace &t = cache.trace();
-    const SimdTarget target = resolveSimdTarget(cache.options().simd);
-    // The within-group execution shape: lane shards (always
-    // bit-identical) and trace segments (speculative when > 1).
-    ReplayExec exec;
-    exec.shards = resolveFusedThreads(cache.options());
-    exec.segments = resolveSegments(cache.options());
-    exec.warmup = cache.options().segmentWarmup;
+    const SweepOptions &opts = cache.options();
+    const SimdTarget target = resolveSimdTarget(opts.simd);
+    const bool zoo = group.kind == SchemeKind::Tage ||
+                     group.kind == SchemeKind::Perceptron;
+    exec.trackAliasing = opts.trackAliasing && !zoo;
+    if (exec.trackAliasing)
+        exec.segments = 1;
     // One stream lookup per group, not per job or per branch.
     const std::vector<std::uint64_t> *aux =
         cache.stream(group.kind, group.streamRowBits);
+    const auto global_history = [&](std::size_t i) {
+        return t.globalHistory(i);
+    };
+    const auto self_history = [&](std::size_t i) {
+        return t.selfHistory(i);
+    };
+    const auto aux_stream = [&](std::size_t i) { return (*aux)[i]; };
 
     switch (group.kind) {
       case SchemeKind::AddressIndexed:
         runFusedReplay(t, jobs, group.jobs,
                        [](std::size_t) { return std::uint64_t{0}; },
-                       slots, target, exec, telemetry);
+                       NoPattern{}, slots, target, exec, telemetry);
         break;
       case SchemeKind::GAg:
       case SchemeKind::GAs:
-        runFusedReplay(
-            t, jobs, group.jobs,
-            [&](std::size_t i) { return t.globalHistory(i); }, slots,
-            target, exec, telemetry);
+        runFusedReplay(t, jobs, group.jobs, global_history,
+                       global_history, slots, target, exec, telemetry);
         break;
       case SchemeKind::Gshare:
+        // Harmlessness keys on the outcome pattern itself, not on the
+        // address-hashed row.
         runFusedReplay(t, jobs, group.jobs,
                        [&](std::size_t i) {
                            return t.globalHistory(i) ^
                                   wordIndex(t.pc(i));
                        },
-                       slots, target, exec, telemetry);
+                       global_history, slots, target, exec, telemetry);
         break;
       case SchemeKind::Path:
         bpsim_assert(aux, "fused path group needs a history stream");
-        runFusedReplay(t, jobs, group.jobs,
-                       [&](std::size_t i) { return (*aux)[i]; },
+        runFusedReplay(t, jobs, group.jobs, aux_stream, NoPattern{},
                        slots, target, exec, telemetry);
         break;
       case SchemeKind::PAsPerfect:
-        runFusedReplay(t, jobs, group.jobs,
-                       [&](std::size_t i) { return t.selfHistory(i); },
+        runFusedReplay(t, jobs, group.jobs, self_history, self_history,
                        slots, target, exec, telemetry);
         break;
       case SchemeKind::PAsFinite: {
         bpsim_assert(aux, "fused finite-PAs group needs a BHT stream");
-        runFusedReplay(t, jobs, group.jobs,
-                       [&](std::size_t i) { return (*aux)[i]; },
+        runFusedReplay(t, jobs, group.jobs, aux_stream, aux_stream,
                        slots, target, exec, telemetry);
         const double miss = cache.bhtMissRate(group.streamRowBits);
         for (std::size_t member : group.jobs)
@@ -1580,10 +1461,26 @@ runFusedGroup(const FusedGroup &group,
       }
       case SchemeKind::Tage:
       case SchemeKind::Perceptron:
-        runModelBatch(t, cache.options(), jobs, group.jobs, slots,
-                      target, exec, telemetry);
+        runModelBatch(t, opts, jobs, group.jobs, slots, target, exec,
+                      telemetry);
         break;
     }
+}
+
+} // namespace
+
+void
+runFusedGroup(const FusedGroup &group,
+              const std::vector<ConfigJob> &jobs, StreamCache &cache,
+              ConfigResult *slots, KernelTelemetry *telemetry)
+{
+    // The within-group execution shape: lane shards (always
+    // bit-identical) and trace segments (speculative when > 1).
+    ReplayExec exec;
+    exec.shards = resolveFusedThreads(cache.options());
+    exec.segments = resolveSegments(cache.options());
+    exec.warmup = cache.options().segmentWarmup;
+    runGroup(group, jobs, cache, slots, telemetry, exec);
 }
 
 SweepResult::SweepResult(const std::string &scheme_name,
@@ -1610,7 +1507,7 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
     const std::vector<ConfigJob> jobs = planSweep(kind, opts);
     const unsigned threads = ThreadPool::resolveThreads(opts.threads);
     const std::vector<FusedGroup> groups =
-        planFusedGroups(jobs, opts, threads);
+        planFusedGroups(jobs, threads);
     StreamCache cache(trace, opts);
     if (threads > 1)
         cache.prepare(jobs, threads);
@@ -1663,8 +1560,20 @@ ConfigResult
 simulateConfig(StreamCache &cache, SchemeKind kind, unsigned row_bits,
                unsigned col_bits)
 {
-    ConfigJob job{kind, row_bits + col_bits, row_bits, col_bits};
-    return runConfigJob(job, cache);
+    bpsim_assert(kind != SchemeKind::AddressIndexed || row_bits == 0,
+                 "address-indexed tables have no rows");
+    // A one-lane group (a fused lane, or a model lane for the zoo),
+    // replayed exactly and unsharded: segments and fusedThreads do not
+    // apply to a single point.
+    const std::vector<ConfigJob> jobs{
+        ConfigJob{kind, row_bits + col_bits, row_bits, col_bits}};
+    FusedGroup group;
+    group.kind = kind;
+    group.streamRowBits = kind == SchemeKind::PAsFinite ? row_bits : 0;
+    group.jobs = {0};
+    ConfigResult out;
+    runGroup(group, jobs, cache, &out, nullptr, ReplayExec{});
+    return out;
 }
 
 ConfigResult

@@ -15,8 +15,8 @@
  * word index -- serially or on the shared ThreadPool, governed by
  * SweepOptions::threads (which now distributes groups, not single
  * jobs).  Results land in per-job ConfigResult slots that are merged
- * into Surfaces in plan order, so parallel and fused results are both
- * bit-identical to the serial per-config ones.
+ * into Surfaces in plan order, so results are bit-identical for any
+ * grouping and thread count.
  *
  * Within one group, two further axes of parallelism exist (see
  * DESIGN.md "Segment-parallel replay"):
@@ -32,10 +32,14 @@
  *    mode stays the default and speculative results depend only on
  *    (K, warmup), never on shard/worker counts.
  *
- * Aliasing measurement (Figure 5) needs the per-access branch-address
- * comparison of AliasTracker, so aliasing-tracked sweeps fall back to
- * the original one-job-per-replay kernel; semantics there are
- * untouched.
+ * Aliasing measurement (Figure 5) is a lane capability of the same
+ * replay: with SweepOptions::trackAliasing every 2-bit lane also owns
+ * an AliasTracker fed the accessing pc and the harmless-pattern bit
+ * beside each counter update.  Alias lanes replay lane-major (their
+ * 8-byte-per-counter trackers stay cache-hot and one is alive per
+ * task), exactly (one segment), and shard like any fused group.  A
+ * single configuration (simulateConfig) is a one-lane group on the
+ * same path, so every 2-bit and zoo result comes from one engine.
  *
  * The sweep path is the fast counterpart of the online TwoLevelPredictor
  * (see prepared_trace.hh); their equivalence is pinned by tests.
@@ -73,16 +77,14 @@ enum class SchemeKind
      * The multi-table zoo: these replay full TageModel /
      * PerceptronModel state per configuration (no packed-PHT form --
      * the fused kernel's 2-bit-counter invariants do not hold for
-     * tagged entries or signed weights).  When fusion is enabled the
-     * planner batches them into MODEL groups: one trace pass decodes
-     * each block once and steps every member model, sharing the hash
-     * folds across members (and, for perceptron lanes, running the
-     * dot-product/update through the SIMD PerceptronBatch kernel).
-     * fuseJobs = false falls back to one per-config replay per job.
-     * Either way their aliasing/harmless surfaces stay zero --
-     * interference decomposition comes from analyzeInterference
-     * instead (see interference.hh) -- which is also why the
-     * trackAliasing fallback does not apply to them.
+     * tagged entries or signed weights).  The planner batches them
+     * into MODEL groups: one trace pass decodes each block once and
+     * steps every member model, sharing the hash folds across members
+     * (and, for perceptron lanes, running the dot-product/update
+     * through the SIMD PerceptronBatch kernel).  Their aliasing/
+     * harmless surfaces stay zero whether trackAliasing is set or not
+     * -- interference decomposition comes from analyzeInterference
+     * instead (see interference.hh).
      */
     Tage,       ///< tagged geometric-history components over a base
     Perceptron, ///< hashed perceptron (summed signed weight tables)
@@ -98,7 +100,11 @@ struct SweepOptions
     unsigned minTotalBits = 4;
     /** Largest tier: 2^maxTotalBits counters (paper: 32768). */
     unsigned maxTotalBits = 15;
-    /** Measure aliasing alongside misprediction (Figure 5). */
+    /**
+     * Measure aliasing alongside misprediction (Figure 5): every 2-bit
+     * lane also feeds an AliasTracker.  Alias-tracked groups always
+     * replay exactly -- `segments` does not apply to them.
+     */
     bool trackAliasing = true;
     /** Path scheme: address bits contributed per branch. */
     unsigned pathBitsPerTarget = 2;
@@ -127,17 +133,6 @@ struct SweepOptions
      * thread, 1 = serial.  Results are identical either way.
      */
     unsigned threads = 1;
-    /**
-     * Fuse jobs sharing a first-level stream into single-pass group
-     * replays: the packed-counter kernel for the 2-bit family, the
-     * batched model-lane replay for the zoo.  Aliasing-tracked 2-bit
-     * sweeps ignore this and always take the per-config AliasTracker
-     * path; zoo sweeps batch regardless of trackAliasing (their
-     * aliasing surfaces are identically zero either way).  Results are
-     * bit-identical either way; false forces the per-config kernel
-     * (the serial baseline the perf_sweep bench measures against).
-     */
-    bool fuseJobs = true;
     /**
      * Dispatch target for the lane-batched fused kernel.  Auto defers
      * to the BPSIM_SIMD environment override, then to CPUID detection;
@@ -171,7 +166,8 @@ struct SweepOptions
      * few warm-up-resistant counters at each boundary can disagree;
      * zoo model state converges more slowly, so the zoo epsilon runs
      * larger at the same warmup -- see EXPERIMENTS.md) for segment
-     * parallelism.  Applies to fused AND model groups.  Speculative
+     * parallelism.  Applies to fused AND model groups, except
+     * alias-tracked ones, which stay exact.  Speculative
      * results depend only on (K, segmentWarmup) -- never on shard or
      * worker counts -- and are cached under a distinct key
      * (sweep_session.cc).  Clamped to kMaxSegments; see
@@ -218,12 +214,18 @@ struct KernelTelemetry
     SimdTarget target = SimdTarget::Scalar;
     /** Fused groups replayed by the lane-batched kernel. */
     std::uint64_t fusedGroups = 0;
-    /** Jobs that took the per-config fallback (aliasing, fuseJobs). */
+    /**
+     * Jobs replayed outside any group.  Every job runs in a fused or
+     * model group, so this stays 0; reports and the service's
+     * `fallback_jobs` stat still read it.
+     */
     std::uint64_t fallbackJobs = 0;
     /** Member configurations replayed by fused groups. */
     std::uint64_t lanes = 0;
     /** Lanes beyond the packed-record limits (64-bit fallback loop). */
     std::uint64_t wideLanes = 0;
+    /** Lanes that also fed an AliasTracker (trackAliasing sweeps). */
+    std::uint64_t aliasLanes = 0;
     /** Lane batches dispatched (at most LaneBatch::kMaxLanes each). */
     std::uint64_t laneBatches = 0;
     /** Decoded block tiles streamed through the lane batches. */
@@ -276,8 +278,9 @@ struct KernelTelemetry
     double workerUtilization() const;
     /**
      * Bytes the lane inner loop reads per branch per lane: 4 (one
-     * packed record) for narrow lanes, 17 (row, column, outcome) for
-     * wide-fallback lanes, averaged over the lane population.
+     * packed record) for narrow lanes, 17 (row, column source,
+     * outcome) for wide-fallback and alias lanes, which read the
+     * trace columns themselves, averaged over the lane population.
      */
     double hotBytesPerBranch() const;
     /** Fold one group's counters into a sweep-level aggregate. */
@@ -316,12 +319,10 @@ std::vector<ConfigJob> planSweep(SchemeKind kind,
 /**
  * A unit of fused execution: jobs (indices into the planned job
  * vector) that replay the trace together because they read the same
- * per-branch first-level inputs.  A fused 2-bit group runs the packed
- * lane kernel; a fused zoo group (kind Tage/Perceptron) is a MODEL
- * group and runs the batched model-lane replay.  When fused is false
- * the group is a fallback wrapper and its members run through the
- * per-config kernel one at a time (the AliasTracker / runModelReplay
- * path).
+ * per-branch first-level inputs.  A 2-bit group runs the packed lane
+ * kernel (its lanes also track aliasing when the sweep asks); a zoo
+ * group (kind Tage/Perceptron) is a MODEL group and runs the batched
+ * model-lane replay.
  */
 struct FusedGroup
 {
@@ -332,8 +333,6 @@ struct FusedGroup
      * when they have one at all, are row-width independent).
      */
     unsigned streamRowBits = 0;
-    /** Single-pass packed kernel (true) or per-config fallback. */
-    bool fused = false;
     /** Member jobs, as indices into the planned job vector. */
     std::vector<std::size_t> jobs;
 };
@@ -343,17 +342,13 @@ struct FusedGroup
  * first-level stream (same scheme; same BHT row width for PAsFinite)
  * land in one group, split into at most @p threads chunks so the pool
  * can spread a large group across executors.  Zoo jobs bucket by
- * scheme into model groups under the same chunking.  When
- * !opts.fuseJobs every job becomes its own fallback group; when
- * opts.trackAliasing the 2-bit family falls back too (AliasTracker
- * needs per-access addresses) but zoo jobs still batch -- their
- * aliasing surfaces are identically zero on both paths.  Every job
- * index appears in exactly one group; results are bit-identical for
- * any grouping.
+ * scheme into model groups under the same chunking.  Aliasing does
+ * not change the plan: it is a lane capability.  Every job index
+ * appears in exactly one group; results are bit-identical for any
+ * grouping.
  */
 std::vector<FusedGroup>
-planFusedGroups(const std::vector<ConfigJob> &jobs,
-                const SweepOptions &opts, unsigned threads);
+planFusedGroups(const std::vector<ConfigJob> &jobs, unsigned threads);
 
 /**
  * Shared immutable first-level inputs for one (trace, options) pair:
@@ -484,20 +479,16 @@ class StreamCache
 };
 
 /**
- * Execute one planned job against @p cache's trace.  Thread-safe once
- * the cache is prepared for the job's scheme and row width.
- */
-ConfigResult runConfigJob(const ConfigJob &job, StreamCache &cache);
-
-/**
  * Execute one fused group, writing each member job's result into
  * slots[job index].  @p slots addresses the whole planned job vector.
- * Fused groups walk the trace once, updating every member's packed
+ * A 2-bit group walks the trace once, updating every member's packed
  * pattern table per branch through the lane-batched SIMD kernel
- * (SweepOptions::simd picks the dispatch target); fallback groups
- * delegate to runConfigJob.  When @p telemetry is non-null the group's
- * kernel counters are accumulated into it.  Thread-safe once @p cache
- * is prepared for the group.
+ * (SweepOptions::simd picks the dispatch target); when the cache's
+ * options track aliasing, each member instead replays lane-major
+ * beside its own AliasTracker.  A model group steps every member
+ * model.  When @p telemetry is non-null the
+ * group's kernel counters are accumulated into it.  Thread-safe once
+ * @p cache is prepared for the group.
  */
 void runFusedGroup(const FusedGroup &group,
                    const std::vector<ConfigJob> &jobs,
@@ -530,7 +521,10 @@ SweepResult sweepScheme(const PreparedTrace &trace, SchemeKind kind,
 
 /**
  * Measure a single configuration (2^row_bits x 2^col_bits) through a
- * caller-held cache, sharing first-level streams across calls.
+ * caller-held cache, sharing first-level streams across calls.  The
+ * configuration runs as a one-lane group on the sweep replay (a fused
+ * lane, or a model lane for the zoo), always exactly: `segments` and
+ * `fusedThreads` do not apply to a single point.
  */
 ConfigResult simulateConfig(StreamCache &cache, SchemeKind kind,
                             unsigned row_bits, unsigned col_bits);

@@ -114,7 +114,7 @@ SweepSession::cacheConfigKey(SchemeKind kind, const SweepOptions &opts)
 {
     // Only result-affecting options, and of those only the ones the
     // scheme reads: a gshare sweep must not miss because an unused
-    // BHT knob changed.  threads/fuseJobs/simd/fusedThreads are
+    // BHT knob changed.  threads/simd/fusedThreads are
     // bit-identical execution knobs (pinned by the differential
     // tests) and are deliberately absent; segments joins the key only
     // when it resolves speculative (see schemeOptionTokens).

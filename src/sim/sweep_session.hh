@@ -16,8 +16,10 @@
  * traces by content/generator key, a map of PreparedTraces (one per
  * interned trace, built on first use), and a ResultCache of finished
  * sweeps (memory + optional .bpc directory).  A repeated request is a
- * cache hit: bit-identical surfaces, no replay, and on a warm disk
- * cache not even trace generation.
+ * cache hit: bit-identical surfaces and no replay.  A warm disk cache
+ * skips the replay and the PreparedTrace build, but not trace
+ * generation: internProfile() still generates the trace eagerly to
+ * intern it (a request by trace hash alone needs no trace at all).
  *
  * Caching discipline:
  *
@@ -27,7 +29,7 @@
  *    per-scheme parameters the scheme actually reads, and -- only when
  *    a request resolves speculative (resolveSegments > 1) -- the
  *    segment count and warm-up width, so speculative and exact results
- *    never cross-serve.  Execution knobs (threads, fuseJobs, simd,
+ *    never cross-serve.  Execution knobs (threads, simd,
  *    fusedThreads) are bit-identical by construction -- pinned by the
  *    differential tests -- and are excluded, so a sweep computed with
  *    8 threads is a hit for a serial rerun.

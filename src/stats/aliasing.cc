@@ -12,26 +12,6 @@ AliasTracker::AliasTracker(std::size_t entries)
     bpsim_assert(entries > 0, "AliasTracker over zero entries");
 }
 
-bool
-AliasTracker::access(std::size_t slot, Addr pc, bool all_ones_pattern)
-{
-    bpsim_assert(slot < lastPc.size(), "slot ", slot, " out of range ",
-                 lastPc.size());
-    ++accesses_;
-    Addr prev = lastPc[slot];
-    lastPc[slot] = pc;
-    if (prev == untouched) {
-        ++touched_;
-        return false;
-    }
-    if (prev == pc)
-        return false;
-    ++conflicts_;
-    if (all_ones_pattern)
-        ++harmless_;
-    return true;
-}
-
 void
 AliasTracker::reset()
 {

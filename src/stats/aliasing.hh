@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/bitutil.hh"
+#include "common/logging.hh"
 
 namespace bpsim {
 
@@ -42,7 +43,25 @@ class AliasTracker
      *        this slot is the all-taken pattern (harmless-alias class)
      * @return true when the access conflicts (previous accessor differs)
      */
-    bool access(std::size_t slot, Addr pc, bool all_ones_pattern = false);
+    bool
+    access(std::size_t slot, Addr pc, bool all_ones_pattern = false)
+    {
+        bpsim_assert(slot < lastPc.size(), "slot ", slot,
+                     " out of range ", lastPc.size());
+        ++accesses_;
+        const Addr prev = lastPc[slot];
+        lastPc[slot] = pc;
+        if (prev == untouched) {
+            ++touched_;
+            return false;
+        }
+        if (prev == pc)
+            return false;
+        ++conflicts_;
+        if (all_ones_pattern)
+            ++harmless_;
+        return true;
+    }
 
     /** Total accesses recorded. */
     std::uint64_t accesses() const { return accesses_; }

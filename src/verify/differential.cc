@@ -6,6 +6,7 @@
 
 #include "common/random.hh"
 #include "predictor/factory.hh"
+#include "predictor/two_level.hh"
 #include "sim/sweep.hh"
 #include "workload/synthetic.hh"
 
@@ -57,6 +58,37 @@ sweepKind(RefScheme scheme)
       case RefScheme::Perceptron: return SchemeKind::Perceptron;
       default: return std::nullopt;
     }
+}
+
+/** The online two-level predictor's aliasing numbers for a config. */
+struct TwoLevelAliasing
+{
+    /** False when the config has no two-level online twin. */
+    bool tracked = false;
+    double aliasRate = 0.0;
+    double harmlessFraction = 0.0;
+};
+
+/**
+ * Run the engine predictor for @p config with aliasing tracked
+ * (makePredictor(spec, true)) over @p trace.  Configurations whose
+ * twin is not a TwoLevelPredictor (the zoo) report tracked = false.
+ */
+TwoLevelAliasing
+onlineAliasing(const RefConfig &config, const MemoryTrace &trace)
+{
+    auto engine = makePredictor(engineSpec(config),
+                                /*track_aliasing=*/true);
+    const auto *two_level =
+        dynamic_cast<const TwoLevelPredictor *>(engine.get());
+    if (!two_level || !two_level->pht().aliasStats())
+        return {};
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (trace[i].isConditional())
+            engine->onBranch(trace[i]);
+    }
+    const AliasTracker &alias = *two_level->pht().aliasStats();
+    return {true, alias.aliasRate(), alias.harmlessFraction()};
 }
 
 } // namespace
@@ -508,15 +540,18 @@ runDifferentialFuzzer(const FuzzOptions &options)
             }
         }
 
-        // Layer 2: sweep fast paths vs reference misprediction rate.
-        // Both kernels are held to exact equality: the per-config
-        // AliasTracker-capable kernel (via simulateConfig) and the
-        // fused packed-counter kernel (via a one-job fused group).
+        // Layer 2: the sweep engine vs reference misprediction rate,
+        // exact equality, through a one-lane simulateConfig probe and
+        // a one-job group per SIMD target.  Where the online twin is
+        // a two-level predictor, the probe also runs alias lanes and
+        // is held to that predictor's aliasing/harmless rates.
         if (options.crossCheckFastPath) {
             if (auto kind = sweepKind(scheme)) {
+                const TwoLevelAliasing online =
+                    spec_expressible ? onlineAliasing(config, trace)
+                                     : TwoLevelAliasing{};
                 SweepOptions sweep;
-                sweep.trackAliasing = false;
-                sweep.fuseJobs = false;
+                sweep.trackAliasing = online.tracked;
                 sweep.pathBitsPerTarget = config.pathBitsPerTarget;
                 sweep.bhtEntries = config.bhtEntries;
                 sweep.bhtAssoc = config.bhtAssoc;
@@ -546,22 +581,41 @@ runDifferentialFuzzer(const FuzzOptions &options)
                        << " vs reference " << reference_rate;
                     report.fastPathProblems.push_back(os.str());
                 }
+                if (online.tracked &&
+                    (result.aliasRate != online.aliasRate ||
+                     result.harmlessFraction !=
+                         online.harmlessFraction) &&
+                    report.fastPathProblems.size() <
+                        maxStoredProblems) {
+                    std::ostringstream os;
+                    os << "alias lane disagrees with the online "
+                       << "predictor for " << schemeKindName(*kind)
+                       << " r=" << config.rowBits
+                       << " c=" << config.colBits << " on trace '"
+                       << trace.name() << "': aliasing "
+                       << result.aliasRate << "/"
+                       << result.harmlessFraction << " vs online "
+                       << online.aliasRate << "/"
+                       << online.harmlessFraction;
+                    report.fastPathProblems.push_back(os.str());
+                }
 
                 // The fused kernel is checked once per SIMD dispatch
                 // target the host supports: every target is forced
                 // explicitly (an explicit request beats the BPSIM_SIMD
                 // environment override) and held to exact equality
-                // with the reference rate, so scalar, SSE2 and AVX2
-                // lane batches are all proven bit-identical.
+                // with the reference rate, so every target's packed
+                // lane batch is proven bit-identical.  Aliasing stays
+                // off here: alias lanes do not run the SIMD kernels.
                 for (SimdTarget target : supportedSimdTargets()) {
                     SweepOptions fused_opts = sweep;
-                    fused_opts.fuseJobs = true;
+                    fused_opts.trackAliasing = false;
                     fused_opts.simd = target;
                     const std::vector<ConfigJob> fused_jobs{ConfigJob{
                         *kind, config.rowBits + config.colBits,
                         config.rowBits, config.colBits}};
                     const std::vector<FusedGroup> fused_groups =
-                        planFusedGroups(fused_jobs, fused_opts, 1);
+                        planFusedGroups(fused_jobs, 1);
                     StreamCache fused_cache(prepared, fused_opts);
                     fused_cache.prepare(fused_jobs, 1);
                     ConfigResult fused_result;

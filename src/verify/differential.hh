@@ -9,8 +9,8 @@
  *    factory spec grammar) and one reference predictor over the same
  *    trace, branch by branch, and reports the FIRST diverging
  *    conditional-branch instance with the full reference state.
- *  - referenceMispRate() lets callers hold the sweep fast path
- *    (simulateConfig / runKernel) to the reference's misprediction
+ *  - referenceMispRate() lets callers hold the sweep engine
+ *    (simulateConfig / runFusedGroup) to the reference's misprediction
  *    rate, closing the triangle online-engine / sweep-kernel /
  *    reference.
  *  - runDifferentialFuzzer() drives both checks over many randomized
@@ -85,10 +85,11 @@ struct FuzzOptions
      */
     bool includeVariants = true;
     /**
-     * For core-scheme pairs, additionally check both sweep fast paths
-     * -- the per-config kernel (simulateConfig) and the fused
-     * packed-counter kernel (runFusedGroup) -- against the reference
-     * misprediction rate.
+     * For core-scheme pairs, additionally check the sweep engine -- a
+     * one-lane simulateConfig probe and a one-job runFusedGroup per
+     * SIMD target -- against the reference misprediction rate, and
+     * the probe's alias lane against the online predictor's aliasing
+     * and harmless rates.
      */
     bool crossCheckFastPath = true;
     /**

@@ -2,20 +2,36 @@
  * @file
  * Differential verification of the fused single-pass sweep kernel:
  * for fuzzed sets of (tier, split) configurations across all seven
- * sweep schemes, the fused packed-counter kernel, the per-config
- * kernel (runConfigJob) and the naive reference model must agree
- * bit-exactly on every misprediction rate.
+ * sweep schemes, the fused packed-counter kernel must agree bit-exactly
+ * with the naive reference model on every misprediction rate, and its
+ * alias lanes with the online predictor (makePredictor with aliasing
+ * tracked, the same AliasTracker fed branch by branch) on every
+ * aliasing rate and harmless fraction.
  *
  * This is the sweep-group-shaped complement of the per-pair fused
  * cross-check inside runDifferentialFuzzer (which the tier-1 campaign
  * in test_differential_fuzz.cc runs): here whole mixed-tier job lists
  * go through planFusedGroups/runFusedGroup exactly as sweepScheme
  * dispatches them.
+ *
+ * The SweepAliasLanes suite at the bottom pins the alias lanes under
+ * every SIMD target, lane shard count and segment request (alias
+ * groups always replay exactly) and through one-lane simulateConfig
+ * probes.  Its name is load-bearing: the tsan preset's "Sweep" filter
+ * selects it, so sharded alias groups run under the race detector.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "common/random.hh"
+#include "predictor/factory.hh"
+#include "predictor/two_level.hh"
+#include "sim/engine.hh"
 #include "sim/sweep.hh"
 #include "verify/differential.hh"
 #include "workload/synthetic.hh"
@@ -87,18 +103,91 @@ runFused(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
     StreamCache cache(t, opts);
     cache.prepare(jobs, 1);
     std::vector<ConfigResult> slots(jobs.size());
-    for (const FusedGroup &group :
-         planFusedGroups(jobs, opts, threads))
+    for (const FusedGroup &group : planFusedGroups(jobs, threads))
         runFusedGroup(group, jobs, cache, slots.data());
     return slots;
 }
 
+/**
+ * Aliasing rate and harmless fraction of the online predictor for
+ * @p job, built from its factory spec with aliasing tracked.
+ */
+std::pair<double, double>
+onlineAliasing(const ConfigJob &job, const SweepOptions &opts,
+               MemoryTrace &trace)
+{
+    auto online =
+        makePredictor(engineSpec(refConfigFor(job, opts)), true);
+    trace.reset();
+    runPredictor(trace, *online);
+    const AliasTracker *alias =
+        dynamic_cast<TwoLevelPredictor &>(*online).pht().aliasStats();
+    EXPECT_NE(alias, nullptr);
+    if (!alias)
+        return {0.0, 0.0};
+    return {alias->aliasRate(), alias->harmlessFraction()};
+}
+
+/** One configuration's expected numbers, from the two oracles. */
+struct Truth
+{
+    double mispRate = 0.0;
+    double aliasRate = 0.0;
+    double harmlessFraction = 0.0;
+};
+
+Truth
+truthFor(const ConfigJob &job, const SweepOptions &opts,
+         MemoryTrace &trace)
+{
+    Truth truth;
+    truth.mispRate = referenceMispRate(refConfigFor(job, opts), trace);
+    std::tie(truth.aliasRate, truth.harmlessFraction) =
+        onlineAliasing(job, opts, trace);
+    return truth;
+}
+
+/** Every point of @p r (and its plan) held to @p truth, exactly. */
+void
+expectSweepMatchesTruth(const SweepResult &r,
+                        const std::vector<ConfigJob> &jobs,
+                        const std::vector<Truth> &truth,
+                        const std::string &what)
+{
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const ConfigJob &job = jobs[j];
+        EXPECT_EQ(*r.misprediction.at(job.totalBits, job.rowBits),
+                  truth[j].mispRate)
+            << what << " r=" << job.rowBits << " c=" << job.colBits;
+        EXPECT_EQ(*r.aliasing.at(job.totalBits, job.rowBits),
+                  truth[j].aliasRate)
+            << what << " r=" << job.rowBits << " c=" << job.colBits;
+        EXPECT_EQ(*r.harmless.at(job.totalBits, job.rowBits),
+                  truth[j].harmlessFraction)
+            << what << " r=" << job.rowBits << " c=" << job.colBits;
+    }
+}
+
+/** A fuzzed split of @p total bits that @p kind can express. */
+ConfigJob
+fuzzJob(SchemeKind kind, unsigned total, Pcg32 &rng)
+{
+    unsigned r = rng.nextBounded(total + 1);
+    if (kind == SchemeKind::AddressIndexed)
+        r = 0;
+    if (kind == SchemeKind::GAg)
+        r = total;
+    return ConfigJob{kind, total, r, total - r};
+}
+
 } // namespace
 
-TEST(FusedKernelDifferential, FuzzedGroupsAgreeWithPerConfigKernel)
+TEST(FusedKernelDifferential,
+     FuzzedGroupsAgreeWithReferenceAndOnlinePredictors)
 {
-    // Fuzzed mixed-tier job lists for every scheme: the fused group
-    // execution must match runConfigJob exactly, field for field.
+    // Fuzzed mixed-tier job lists for every scheme, alias lanes on:
+    // each slot's misprediction rate must equal the reference model's
+    // and its aliasing/harmless numbers the online predictor's.
     Pcg32 rng(0xF05ED0BAULL, 11);
     for (int round = 0; round < 10; ++round) {
         const SchemeKind kind = allKinds[rng.nextBounded(7)];
@@ -107,8 +196,7 @@ TEST(FusedKernelDifferential, FuzzedGroupsAgreeWithPerConfigKernel)
         PreparedTrace prepared(trace);
 
         SweepOptions opts;
-        opts.trackAliasing = false;
-        opts.fuseJobs = true;
+        opts.trackAliasing = true;
         opts.bhtEntries = 32u << rng.nextBounded(3);
         opts.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
 
@@ -116,32 +204,31 @@ TEST(FusedKernelDifferential, FuzzedGroupsAgreeWithPerConfigKernel)
         // splits, duplicates of row width across tiers included.
         std::vector<ConfigJob> jobs;
         const std::size_t count = 3 + rng.nextBounded(6);
-        for (std::size_t j = 0; j < count; ++j) {
-            unsigned total = 4 + rng.nextBounded(6);
-            unsigned r = rng.nextBounded(total + 1);
-            if (kind == SchemeKind::AddressIndexed)
-                r = 0;
-            if (kind == SchemeKind::GAg)
-                r = total;
-            jobs.push_back(ConfigJob{kind, total, r, total - r});
-        }
+        for (std::size_t j = 0; j < count; ++j)
+            jobs.push_back(fuzzJob(kind, 4 + rng.nextBounded(6), rng));
 
         const unsigned threads = 1 + rng.nextBounded(3);
         std::vector<ConfigResult> fused =
             runFused(prepared, jobs, opts, threads);
 
-        StreamCache per_config_cache(prepared, opts);
+        StreamCache one_lane_cache(prepared, opts);
         for (std::size_t j = 0; j < jobs.size(); ++j) {
-            ConfigResult expected =
-                runConfigJob(jobs[j], per_config_cache);
-            EXPECT_EQ(fused[j].mispRate, expected.mispRate)
+            EXPECT_EQ(fused[j].mispRate,
+                      referenceMispRate(refConfigFor(jobs[j], opts),
+                                        trace))
                 << schemeKindName(kind) << " r=" << jobs[j].rowBits
                 << " c=" << jobs[j].colBits << " round " << round;
-            EXPECT_EQ(fused[j].bhtMissRate, expected.bhtMissRate)
+            const auto [alias, harmless] =
+                onlineAliasing(jobs[j], opts, trace);
+            EXPECT_EQ(fused[j].aliasRate, alias)
                 << schemeKindName(kind) << " round " << round;
-            EXPECT_EQ(fused[j].aliasRate, expected.aliasRate);
-            EXPECT_EQ(fused[j].harmlessFraction,
-                      expected.harmlessFraction);
+            EXPECT_EQ(fused[j].harmlessFraction, harmless)
+                << schemeKindName(kind) << " round " << round;
+            EXPECT_EQ(fused[j].bhtMissRate,
+                      simulateConfig(one_lane_cache, kind,
+                                     jobs[j].rowBits, jobs[j].colBits)
+                          .bhtMissRate)
+                << schemeKindName(kind) << " round " << round;
         }
     }
 }
@@ -157,7 +244,6 @@ TEST(FusedKernelDifferential, AllSchemesAgreeWithReferenceModel)
     for (SchemeKind kind : allKinds) {
         SweepOptions opts;
         opts.trackAliasing = false;
-        opts.fuseJobs = true;
         opts.bhtEntries = 64;
         opts.bhtAssoc = 4;
 
@@ -187,10 +273,10 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
 {
     // The SIMD dispatch campaign: >= 100 fuzzed group configurations,
     // each executed under EVERY dispatch target this host supports
-    // (scalar always; SSE2/AVX2 when available), with every target
-    // held to exact equality against the per-config kernel -- and the
-    // first job of each round against the naive reference model, so a
-    // kernel bug that somehow fooled both fast paths still surfaces.
+    // (scalar always; SSE2/AVX-512 when available), with every target
+    // held to exact equality against the naive reference model on
+    // every job, and every target's alias lanes (on in half the
+    // rounds) and BHT miss rates against the scalar target's.
     const std::vector<SimdTarget> targets = supportedSimdTargets();
     ASSERT_GE(targets.size(), 1u);
     ASSERT_EQ(targets.front(), SimdTarget::Scalar);
@@ -205,49 +291,42 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
         PreparedTrace prepared(trace);
 
         SweepOptions opts;
-        opts.trackAliasing = false;
-        opts.fuseJobs = true;
+        opts.trackAliasing = (round & 1) != 0;
         opts.bhtEntries = 32u << rng.nextBounded(3);
         opts.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
 
         std::vector<ConfigJob> jobs;
         const std::size_t count = 4 + rng.nextBounded(5);
-        for (std::size_t j = 0; j < count; ++j) {
-            unsigned total = 4 + rng.nextBounded(7);
-            unsigned r = rng.nextBounded(total + 1);
-            if (kind == SchemeKind::AddressIndexed)
-                r = 0;
-            if (kind == SchemeKind::GAg)
-                r = total;
-            jobs.push_back(ConfigJob{kind, total, r, total - r});
-        }
+        for (std::size_t j = 0; j < count; ++j)
+            jobs.push_back(fuzzJob(kind, 4 + rng.nextBounded(7), rng));
 
-        StreamCache per_config_cache(prepared, opts);
-        std::vector<ConfigResult> expected(jobs.size());
+        std::vector<double> reference(jobs.size());
         for (std::size_t j = 0; j < jobs.size(); ++j)
-            expected[j] = runConfigJob(jobs[j], per_config_cache);
-        const double reference =
-            referenceMispRate(refConfigFor(jobs[0], opts), trace);
+            reference[j] =
+                referenceMispRate(refConfigFor(jobs[j], opts), trace);
 
+        std::vector<ConfigResult> scalar;
         for (SimdTarget target : targets) {
             SweepOptions forced = opts;
             forced.simd = target;
             std::vector<ConfigResult> fused =
                 runFused(prepared, jobs, forced,
                          1 + rng.nextBounded(2));
+            if (target == SimdTarget::Scalar)
+                scalar = fused;
             for (std::size_t j = 0; j < jobs.size(); ++j) {
-                EXPECT_EQ(fused[j].mispRate, expected[j].mispRate)
+                EXPECT_EQ(fused[j].mispRate, reference[j])
                     << simdTargetName(target) << " "
                     << schemeKindName(kind) << " r=" << jobs[j].rowBits
                     << " c=" << jobs[j].colBits << " round " << round;
-                EXPECT_EQ(fused[j].bhtMissRate,
-                          expected[j].bhtMissRate)
+                EXPECT_EQ(fused[j].aliasRate, scalar[j].aliasRate)
+                    << simdTargetName(target) << " round " << round;
+                EXPECT_EQ(fused[j].harmlessFraction,
+                          scalar[j].harmlessFraction)
+                    << simdTargetName(target) << " round " << round;
+                EXPECT_EQ(fused[j].bhtMissRate, scalar[j].bhtMissRate)
                     << simdTargetName(target) << " round " << round;
             }
-            EXPECT_EQ(fused[0].mispRate, reference)
-                << simdTargetName(target) << " "
-                << schemeKindName(kind) << " vs reference, round "
-                << round;
         }
         configs_checked += jobs.size();
     }
@@ -256,48 +335,159 @@ TEST(FusedKernelDifferential, ForcedDispatchTargetsBitIdentical)
 
 TEST(FusedKernelDifferential, WholeSweepTriangleOnCoreSchemes)
 {
-    // sweepScheme end to end, fused vs per-config, with reference
-    // spot checks at the corners of each scheme's surface.
+    // sweepScheme end to end with alias lanes on: every surface point
+    // against the reference model (misprediction) and the online
+    // predictor (aliasing, harmless fraction).
     MemoryTrace trace = fuzzTrace(5, 4000);
     PreparedTrace prepared(trace);
 
     for (SchemeKind kind : allKinds) {
-        SweepOptions fused;
-        fused.minTotalBits = 4;
-        fused.maxTotalBits = 7;
-        fused.trackAliasing = false;
-        fused.bhtEntries = 64;
-        fused.fuseJobs = true;
-        SweepOptions per_config = fused;
-        per_config.fuseJobs = false;
+        SweepOptions o;
+        o.minTotalBits = 4;
+        o.maxTotalBits = 7;
+        o.trackAliasing = true;
+        o.bhtEntries = 64;
 
-        SweepResult rf = sweepScheme(prepared, kind, fused);
-        SweepResult rp = sweepScheme(prepared, kind, per_config);
-        ASSERT_EQ(rf.misprediction.tiers().size(),
-                  rp.misprediction.tiers().size());
-        for (std::size_t t = 0; t < rf.misprediction.tiers().size();
-             ++t) {
-            const SurfaceTier &tf = rf.misprediction.tiers()[t];
-            const SurfaceTier &tp = rp.misprediction.tiers()[t];
-            ASSERT_EQ(tf.points.size(), tp.points.size());
-            for (std::size_t p = 0; p < tf.points.size(); ++p)
-                EXPECT_EQ(tf.points[p].value, tp.points[p].value)
-                    << schemeKindName(kind) << " tier 2^"
-                    << tf.totalBits << " rows 2^"
-                    << tf.points[p].rowBits;
+        SweepResult r = sweepScheme(prepared, kind, o);
+        for (const ConfigJob &job : planSweep(kind, o)) {
+            EXPECT_EQ(*r.misprediction.at(job.totalBits, job.rowBits),
+                      referenceMispRate(refConfigFor(job, o), trace))
+                << schemeKindName(kind) << " r=" << job.rowBits
+                << " c=" << job.colBits;
+            const auto [alias, harmless] =
+                onlineAliasing(job, o, trace);
+            EXPECT_EQ(*r.aliasing.at(job.totalBits, job.rowBits), alias)
+                << schemeKindName(kind) << " r=" << job.rowBits;
+            EXPECT_EQ(*r.harmless.at(job.totalBits, job.rowBits),
+                      harmless)
+                << schemeKindName(kind) << " r=" << job.rowBits;
+        }
+    }
+}
+
+TEST(SweepAliasLanes, FuzzedSweepsMatchReferenceAndOnlinePredictors)
+{
+    const std::vector<SimdTarget> targets = supportedSimdTargets();
+    Pcg32 rng(0xA11A5E5ULL, 23);
+    for (int round = 0; round < 14; ++round) {
+        const SchemeKind kind = allKinds[round % 7];
+        MemoryTrace trace =
+            fuzzTrace(9100 + round, 1500 + rng.nextBounded(2000));
+        PreparedTrace prepared(trace);
+
+        SweepOptions opts;
+        opts.trackAliasing = true;
+        opts.minTotalBits = 3 + rng.nextBounded(3);
+        opts.maxTotalBits = opts.minTotalBits + 1 + rng.nextBounded(2);
+        opts.pathBitsPerTarget = 1 + rng.nextBounded(3);
+        opts.bhtEntries = 16u << rng.nextBounded(3);
+        opts.bhtAssoc = 1u << rng.nextBounded(3);
+
+        const std::vector<ConfigJob> jobs = planSweep(kind, opts);
+        std::vector<Truth> truth;
+        for (const ConfigJob &job : jobs)
+            truth.push_back(truthFor(job, opts, trace));
+
+        const std::string name = schemeKindName(kind);
+        for (SimdTarget target : targets) {
+            for (unsigned shards : {1u, 3u}) {
+                for (unsigned segments : {1u, 4u}) {
+                    SweepOptions o = opts;
+                    o.simd = target;
+                    o.fusedThreads = shards;
+                    o.segments = segments;
+                    o.threads = 1 + rng.nextBounded(2);
+                    const SweepResult r = sweepScheme(prepared, kind, o);
+                    const std::string what =
+                        name + " " + simdTargetName(target) +
+                        " shards=" + std::to_string(shards) +
+                        " segments=" + std::to_string(segments) +
+                        " round " + std::to_string(round);
+                    expectSweepMatchesTruth(r, jobs, truth, what);
+                    EXPECT_EQ(r.kernel.fallbackJobs, 0u) << what;
+                    EXPECT_GT(r.kernel.fusedGroups, 0u) << what;
+                    EXPECT_EQ(r.kernel.aliasLanes, jobs.size()) << what;
+                    // Alias groups replay exactly whatever is asked.
+                    EXPECT_EQ(r.kernel.segmentsPerGroup(), 1.0) << what;
+                    EXPECT_EQ(r.kernel.warmupBranches, 0u) << what;
+                }
+            }
         }
 
-        // Reference spot check at both edges of the largest tier.
-        for (const SurfacePoint &pt :
-             {rf.misprediction.tiers().back().points.front(),
-              rf.misprediction.tiers().back().points.back()}) {
-            ConfigJob job{kind, pt.rowBits + pt.colBits, pt.rowBits,
-                          pt.colBits};
-            const double reference =
-                referenceMispRate(refConfigFor(job, fused), trace);
-            EXPECT_EQ(pt.value, reference)
-                << schemeKindName(kind) << " r=" << pt.rowBits
-                << " c=" << pt.colBits;
+        // The one-lane probe goes through the same replay.
+        StreamCache cache(prepared, opts);
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const ConfigResult one = simulateConfig(
+                cache, kind, jobs[j].rowBits, jobs[j].colBits);
+            EXPECT_EQ(one.mispRate, truth[j].mispRate) << name;
+            EXPECT_EQ(one.aliasRate, truth[j].aliasRate) << name;
+            EXPECT_EQ(one.harmlessFraction, truth[j].harmlessFraction)
+                << name;
         }
+    }
+}
+
+TEST(SweepAliasLanes, GshareHarmlessKeysOnHistoryNotRow)
+{
+    // Two always-taken branches whose word indices (1 and 17) agree in
+    // their low four bits: in a gshare:4:0 table they collide on every
+    // access once the history saturates to all ones, so nearly every
+    // conflict is harmless -- keyed on the all-ones *history*.  The
+    // hashed row (history ^ word index = 0b1110) is never all ones, so
+    // a row-keyed classification would report no harmless conflicts.
+    MemoryTrace trace("gshare-harmless");
+    for (int i = 0; i < 400; ++i) {
+        BranchRecord rec;
+        rec.pc = (i % 2 == 0) ? 4 : 68;
+        rec.target = rec.pc + 64;
+        rec.type = BranchType::Conditional;
+        rec.taken = true;
+        trace.append(rec);
+    }
+    PreparedTrace prepared(trace);
+
+    SweepOptions opts;
+    opts.trackAliasing = true;
+    opts.minTotalBits = 4;
+    opts.maxTotalBits = 4;
+    const ConfigJob job{SchemeKind::Gshare, 4, 4, 0};
+    const Truth truth = truthFor(job, opts, trace);
+    EXPECT_GT(truth.harmlessFraction, 0.95);
+
+    for (SimdTarget target : supportedSimdTargets()) {
+        SweepOptions o = opts;
+        o.simd = target;
+        const SweepResult r =
+            sweepScheme(prepared, SchemeKind::Gshare, o);
+        EXPECT_EQ(*r.aliasing.at(4, 4), truth.aliasRate)
+            << simdTargetName(target);
+        EXPECT_EQ(*r.harmless.at(4, 4), truth.harmlessFraction)
+            << simdTargetName(target);
+    }
+    const ConfigResult one =
+        simulateConfig(prepared, SchemeKind::Gshare, 4, 0, opts);
+    EXPECT_EQ(one.harmlessFraction, truth.harmlessFraction);
+}
+
+TEST(SweepAliasLanes, WideLanesTrackAliasingToo)
+{
+    // Configurations past the packed-record limits (16-bit columns)
+    // take the 64-bit wide loop; their alias lanes must agree with the
+    // online predictor exactly like the narrow ones.
+    MemoryTrace trace = fuzzTrace(9300, 2500);
+    PreparedTrace prepared(trace);
+    SweepOptions opts;
+    opts.trackAliasing = true;
+    for (SchemeKind kind : {SchemeKind::GAs, SchemeKind::Gshare,
+                            SchemeKind::PAsPerfect}) {
+        const ConfigJob job{kind, 18, 2, 16};
+        const Truth truth = truthFor(job, opts, trace);
+        const ConfigResult one =
+            simulateConfig(prepared, kind, 2, 16, opts);
+        EXPECT_EQ(one.mispRate, truth.mispRate) << schemeKindName(kind);
+        EXPECT_EQ(one.aliasRate, truth.aliasRate)
+            << schemeKindName(kind);
+        EXPECT_EQ(one.harmlessFraction, truth.harmlessFraction)
+            << schemeKindName(kind);
     }
 }

@@ -2,10 +2,11 @@
  * @file
  * Differential verification of the batched model-lane replay
  * (runModelBatch in sweep.cc): a model group stepping the whole
- * TAGE/perceptron zoo in one trace pass must be bit-identical to the
- * per-config fallback (runConfigJob -> runModelReplay) and to the
- * naive reference mirrors, for every SIMD dispatch target, shard
- * count and fuzzed group composition; speculative segments must be
+ * TAGE/perceptron zoo in one trace pass must agree exactly, per
+ * configuration, with the naive reference mirrors
+ * (verify/reference_model.cc) and with its own one-lane replay
+ * (simulateConfig), for every SIMD dispatch target, shard count and
+ * fuzzed group composition; speculative segments must be
  * deterministic with a bounded epsilon and exact under a covering
  * warm-up.
  *
@@ -113,8 +114,7 @@ runGroups(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
     StreamCache cache(t, opts);
     cache.prepare(jobs, 1);
     std::vector<ConfigResult> slots(jobs.size());
-    for (const FusedGroup &group :
-         planFusedGroups(jobs, opts, threads))
+    for (const FusedGroup &group : planFusedGroups(jobs, threads))
         runFusedGroup(group, jobs, cache, slots.data());
     return slots;
 }
@@ -168,10 +168,13 @@ maxPointDelta(const SweepResult &a, const SweepResult &b)
 /**
  * One fuzzed group composition: a job list executed through the
  * model-group path under (target, shards, threads), every slot held
- * to exact equality against the per-config kernel.
+ * to exact equality against its configuration's reference mirror
+ * (misprediction) and one-lane replay (aliasing surfaces, which the
+ * zoo leaves at zero).
  */
 void
-checkComposition(const PreparedTrace &prepared,
+checkComposition(const MemoryTrace &trace,
+                 const PreparedTrace &prepared,
                  const std::vector<ConfigJob> &jobs,
                  const SweepOptions &base, SimdTarget target,
                  unsigned shards, unsigned threads, int round)
@@ -182,11 +185,13 @@ checkComposition(const PreparedTrace &prepared,
     std::vector<ConfigResult> batched =
         runGroups(prepared, jobs, opts, threads);
 
-    StreamCache per_config_cache(prepared, base);
+    StreamCache one_lane_cache(prepared, base);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         const ConfigResult expected =
-            runConfigJob(jobs[j], per_config_cache);
-        EXPECT_EQ(batched[j].mispRate, expected.mispRate)
+            simulateConfig(one_lane_cache, jobs[j].kind,
+                           jobs[j].rowBits, jobs[j].colBits);
+        EXPECT_EQ(batched[j].mispRate,
+                  referenceMispRate(refConfigFor(jobs[j], base), trace))
             << schemeKindName(jobs[j].kind) << " r=" << jobs[j].rowBits
             << " c=" << jobs[j].colBits << " "
             << simdTargetName(target) << " shards=" << shards
@@ -201,11 +206,12 @@ checkComposition(const PreparedTrace &prepared,
 
 TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
 {
-    // The tentpole invariant at sweep granularity: for fuzzed zoo
-    // knobs, a batched sweep (one model group stepping every lane)
-    // must reproduce the per-config fallback exactly, on every SIMD
-    // target, for any lane shard count, with or without outer group
-    // parallelism.  >= 100 configurations accumulate across rounds.
+    // The batching invariant at sweep granularity: for fuzzed zoo
+    // knobs, a serial scalar batched sweep must match every
+    // configuration's reference mirror exactly, and every other
+    // shape -- each SIMD target, any lane shard count, with or
+    // without outer group parallelism -- must reproduce it bit for
+    // bit.  >= 100 configurations accumulate across rounds.
     Pcg32 rng(0x300DE1B5ULL, 17);
     std::size_t configs_checked = 0;
     for (int round = 0; round < 6; ++round) {
@@ -219,10 +225,19 @@ TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
         base.maxTotalBits = base.minTotalBits + 2 + rng.nextBounded(2);
         fuzzZooKnobs(base, rng);
 
-        SweepOptions per_config = base;
-        per_config.fuseJobs = false;
-        const SweepResult serial =
-            sweepScheme(prepared, kind, per_config);
+        SweepOptions scalar = base;
+        scalar.simd = SimdTarget::Scalar;
+        const SweepResult serial = sweepScheme(prepared, kind, scalar);
+        for (const SurfaceTier &tier : serial.misprediction.tiers()) {
+            for (const SurfacePoint &pt : tier.points) {
+                const ConfigJob job{kind, tier.totalBits, pt.rowBits,
+                                    pt.colBits};
+                EXPECT_EQ(pt.value, referenceMispRate(
+                                        refConfigFor(job, base), trace))
+                    << schemeKindName(kind) << " r=" << pt.rowBits
+                    << " c=" << pt.colBits << " round " << round;
+            }
+        }
         configs_checked += pointCount(serial);
 
         for (SimdTarget target : supportedSimdTargets()) {
@@ -264,7 +279,8 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
     std::size_t compositions = 0;
     for (int round = 0; round < 100; ++round) {
         const SchemeKind kind = kZooKinds[rng.nextBounded(2)];
-        const PreparedTrace &t = *prepared[rng.nextBounded(5)];
+        const std::size_t trace_idx = rng.nextBounded(5);
+        const PreparedTrace &t = *prepared[trace_idx];
 
         SweepOptions opts;
         fuzzZooKnobs(opts, rng);
@@ -279,8 +295,8 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
             targets[rng.nextBounded(targets.size())];
         const unsigned shards = 1 + rng.nextBounded(8);
         const unsigned threads = 1 + rng.nextBounded(3);
-        checkComposition(t, jobs, opts, target, shards, threads,
-                         round);
+        checkComposition(traces[trace_idx], t, jobs, opts, target,
+                         shards, threads, round);
         ++compositions;
     }
     EXPECT_GE(compositions, 100u);
@@ -527,9 +543,8 @@ TEST(ModelBatchSlow, CompositionCampaign)
     }
 
     // The long campaign: hundreds of fuzzed group compositions with
-    // longer traces, EVERY supported target per composition, and a
-    // naive reference mirror check of one slot per round so a bug
-    // that fooled both fast paths still surfaces.
+    // longer traces and EVERY supported target per composition, each
+    // slot held to its naive reference mirror.
     Pcg32 rng(0x51077CA3ULL, 29);
 
     std::vector<MemoryTrace> traces;
@@ -559,13 +574,7 @@ TEST(ModelBatchSlow, CompositionCampaign)
         const unsigned shards = 1 + rng.nextBounded(8);
         const unsigned threads = 1 + rng.nextBounded(3);
         for (SimdTarget target : targets)
-            checkComposition(t, jobs, opts, target, shards, threads,
-                             round);
-
-        const double reference = referenceMispRate(
-            refConfigFor(jobs[0], opts), traces[trace_idx]);
-        StreamCache cache(t, opts);
-        EXPECT_EQ(runConfigJob(jobs[0], cache).mispRate, reference)
-            << schemeKindName(kind) << " round " << round;
+            checkComposition(traces[trace_idx], t, jobs, opts, target,
+                             shards, threads, round);
     }
 }

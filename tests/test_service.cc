@@ -10,9 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <thread>
 
+#include "service/client.hh"
 #include "service/server.hh"
 #include "sim/sweep_session.hh"
 #include "trace/trace_io.hh"
@@ -540,3 +549,65 @@ TEST(Service, SpecStringSchemeNamesGetAHint)
 }
 
 } // namespace
+
+TEST(Service, AcceptFailureEndsServeSocketWithAnError)
+{
+    // A listener whose accept() fails -- here because the process is
+    // out of file descriptors -- must stop with a structured error,
+    // not return OK as if a shutdown had been requested.  The server
+    // runs in a forked child so the descriptor exhaustion stays out of
+    // the test process.  Child exit codes: 0 the expected error,
+    // 1 an OK status, 2 an error not naming accept()/EMFILE, 3-4 the
+    // descriptor set-up failed.
+    const std::string path =
+        ::testing::TempDir() + "service_accept_emfile.sock";
+    std::filesystem::remove(path);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        SweepServer server;
+        rlimit lim{};
+        if (::getrlimit(RLIMIT_NOFILE, &lim) != 0)
+            ::_exit(3);
+        lim.rlim_cur = std::min<rlim_t>(lim.rlim_cur, 256);
+        if (::setrlimit(RLIMIT_NOFILE, &lim) != 0)
+            ::_exit(3);
+        // Take every free descriptor below the limit, then hand one
+        // back: serveSocket's socket() gets it and accept() has none.
+        int last = -1;
+        for (int fd = ::dup(2); fd >= 0; fd = ::dup(2))
+            last = fd;
+        if (errno != EMFILE || last < 0)
+            ::_exit(4);
+        ::close(last);
+        const Status status = server.serveSocket(path);
+        if (status.ok())
+            ::_exit(1);
+        const std::string &message = status.error().message();
+        const bool named =
+            message.find("accept()") != std::string::npos &&
+            message.find(std::strerror(EMFILE)) != std::string::npos;
+        ::_exit(named ? 0 : 2);
+    }
+
+    // Linux fails accept() with EMFILE before waiting for a client;
+    // a client is offered anyway in case accept() waits for one.
+    int wstatus = 0;
+    pid_t done = 0;
+    bool connected = false;
+    for (int i = 0; i < 400 && done == 0; ++i) {
+        done = ::waitpid(pid, &wstatus, WNOHANG);
+        if (done == 0 && !connected && std::filesystem::exists(path))
+            connected = connectUnixSocket(path).ok();
+        if (done == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    }
+    if (done == 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &wstatus, 0);
+        FAIL() << "server did not exit after accept() failed";
+    }
+    ASSERT_TRUE(WIFEXITED(wstatus));
+    EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+    EXPECT_FALSE(std::filesystem::exists(path));
+}

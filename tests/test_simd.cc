@@ -300,65 +300,26 @@ TEST(Simd, FuzzedReplayBitIdenticalOnEveryTarget)
     }
 }
 
-TEST(Simd, GatherScatterRoundTripOnEveryTarget)
+TEST(Simd, ReplayReachesTheLastTableByte)
 {
-    Pcg32 rng(0x6A77E12BULL, 5);
-    std::vector<std::vector<std::uint8_t>> buffers;
-    for (unsigned l = 0; l < LaneBatch::kMaxLanes; ++l) {
-        std::vector<std::uint8_t> buf(
-            256 + PackedPht::kGatherSlack);
-        for (std::size_t i = 0; i < buf.size(); ++i)
-            buf[i] = static_cast<std::uint8_t>(rng.next());
-        buffers.push_back(std::move(buf));
-    }
-
+    // The highest counter byte is exactly where the AVX-512 4-byte
+    // gather and scatter need PackedPht::kGatherSlack padding: train
+    // every lane's last counter on every target (a full 16-lane batch,
+    // so the AVX-512 kernel engages) to prove the slack is there (ASan
+    // would flag a miss) and that the slack bytes never leak into the
+    // counters.
+    std::vector<std::uint32_t> records(8, record(63, true));
+    const std::vector<unsigned> bits(LaneBatch::kMaxLanes, 6u);
     for (SimdTarget target : supportedSimdTargets()) {
-        for (unsigned lanes = 1; lanes <= LaneBatch::kMaxLanes;
-             ++lanes) {
-            const std::uint8_t *srcs[LaneBatch::kMaxLanes];
-            std::uint8_t *dsts[LaneBatch::kMaxLanes];
-            std::uint32_t idx[LaneBatch::kMaxLanes];
-            std::uint8_t got[LaneBatch::kMaxLanes];
-            for (unsigned l = 0; l < lanes; ++l) {
-                srcs[l] = buffers[l].data();
-                dsts[l] = buffers[l].data();
-                idx[l] = static_cast<std::uint32_t>(
-                    rng.nextBounded(256));
-            }
-
-            gatherLaneBytes(target, srcs, idx, lanes, got);
-            for (unsigned l = 0; l < lanes; ++l) {
-                EXPECT_EQ(got[l], buffers[l][idx[l]])
-                    << simdTargetName(target) << " lane " << l;
-            }
-
-            // Scatter complements back, gather again: round trip.
-            std::uint8_t flipped[LaneBatch::kMaxLanes];
-            for (unsigned l = 0; l < lanes; ++l)
-                flipped[l] = static_cast<std::uint8_t>(~got[l]);
-            scatterLaneBytes(target, dsts, idx, lanes, flipped);
-            gatherLaneBytes(target, srcs, idx, lanes, got);
-            for (unsigned l = 0; l < lanes; ++l) {
-                EXPECT_EQ(got[l], flipped[l])
-                    << simdTargetName(target) << " lane " << l;
-            }
+        expectBitIdentical(target, records, bits, "last byte");
+        LaneSetup setup(bits);
+        replayLaneBatch(target, records.data(), records.size(),
+                        setup.batch);
+        for (unsigned l = 0; l < setup.batch.lanes; ++l) {
+            EXPECT_EQ(setup.tables[l].counter(63), 3u)
+                << simdTargetName(target) << " lane " << l;
+            EXPECT_EQ(setup.tables[l].counter(62), 2u)
+                << simdTargetName(target) << " lane " << l;
         }
-    }
-}
-
-TEST(Simd, GatherReachesTheLastTableByte)
-{
-    // The highest counter byte is exactly where the AVX2 4-byte
-    // gather needs PackedPht::kGatherSlack padding; read it on every
-    // target to prove the slack is there (ASan would flag a miss).
-    PackedPht pht(64); // 16 counter bytes, slack after
-    std::uint8_t *base = pht.data();
-    base[15] = 0x5C;
-    for (SimdTarget target : supportedSimdTargets()) {
-        const std::uint8_t *bases[1] = {base};
-        const std::uint32_t idx[1] = {15};
-        std::uint8_t out[1] = {0};
-        gatherLaneBytes(target, bases, idx, 1, out);
-        EXPECT_EQ(out[0], 0x5C) << simdTargetName(target);
     }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "predictor/factory.hh"
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
 #include "sim/sweep.hh"
@@ -374,26 +375,53 @@ TEST(Sweep, StreamCacheDoesNotRecomputeFirstLevelStreams)
 
 TEST(Sweep, FusedSweepBitIdenticalToPerConfigForEveryScheme)
 {
+    // A whole-sweep group (lanes sorted into column classes and
+    // batched through the SIMD kernel, or alias lanes replayed
+    // lane-major) must give every configuration exactly what its own
+    // one-lane replay (simulateConfig) gives -- misprediction,
+    // aliasing, harmless fraction and BHT miss rate -- so grouping
+    // never leaks between lanes.
     PreparedTrace t(sharedWorkload());
-    for (SchemeKind kind :
-         {SchemeKind::AddressIndexed, SchemeKind::GAg, SchemeKind::GAs,
-          SchemeKind::Gshare, SchemeKind::Path, SchemeKind::PAsPerfect,
-          SchemeKind::PAsFinite}) {
-        SweepOptions fused;
-        fused.minTotalBits = 4;
-        fused.maxTotalBits = 9;
-        fused.trackAliasing = false;
-        fused.bhtEntries = 64;
-        fused.fuseJobs = true;
-        SweepOptions per_config = fused;
-        per_config.fuseJobs = false;
+    for (bool aliasing : {false, true}) {
+        for (SchemeKind kind :
+             {SchemeKind::AddressIndexed, SchemeKind::GAg,
+              SchemeKind::GAs, SchemeKind::Gshare, SchemeKind::Path,
+              SchemeKind::PAsPerfect, SchemeKind::PAsFinite}) {
+            SweepOptions o;
+            o.minTotalBits = 4;
+            o.maxTotalBits = 9;
+            o.trackAliasing = aliasing;
+            o.bhtEntries = 64;
 
-        SweepResult rf = sweepScheme(t, kind, fused);
-        SweepResult rp = sweepScheme(t, kind, per_config);
-        const char *name = schemeKindName(kind);
-        expectSurfacesIdentical(rf.misprediction, rp.misprediction,
-                                name);
-        EXPECT_EQ(rf.bhtMissRate, rp.bhtMissRate) << name;
+            SweepResult r = sweepScheme(t, kind, o);
+            StreamCache cache(t, o);
+            const char *name = schemeKindName(kind);
+            for (const ConfigJob &job : planSweep(kind, o)) {
+                const ConfigResult one = simulateConfig(
+                    cache, kind, job.rowBits, job.colBits);
+                EXPECT_EQ(*r.misprediction.at(job.totalBits,
+                                              job.rowBits),
+                          one.mispRate)
+                    << name << " r=" << job.rowBits;
+                if (aliasing) {
+                    EXPECT_EQ(*r.aliasing.at(job.totalBits,
+                                             job.rowBits),
+                              one.aliasRate)
+                        << name << " r=" << job.rowBits;
+                    EXPECT_EQ(*r.harmless.at(job.totalBits,
+                                             job.rowBits),
+                              one.harmlessFraction)
+                        << name << " r=" << job.rowBits;
+                }
+                if (kind == SchemeKind::PAsFinite) {
+                    EXPECT_EQ(one.bhtMissRate,
+                              cache.bhtMissRate(job.rowBits));
+                }
+            }
+            if (kind == SchemeKind::PAsFinite) {
+                EXPECT_EQ(r.bhtMissRate, cache.sweepBhtMissRate());
+            }
+        }
     }
 }
 
@@ -413,24 +441,35 @@ TEST(Sweep, FusedParallelBitIdenticalToFusedSerial)
                             "gshare fused threads");
 }
 
-TEST(Sweep, AliasingSweepIgnoresFusionKnob)
+TEST(Sweep, AliasingSweepMatchesOnlinePredictor)
 {
-    // AliasTracker sweeps always take the per-config fallback; the
-    // knob must not perturb Figure 5 semantics.
+    // Figure 5 semantics on the fused alias lanes: every point of an
+    // alias-tracked GAs sweep equals the online predictor built with
+    // makePredictor(spec, track_aliasing = true) -- the same
+    // AliasTracker class, fed branch by branch.
     PreparedTrace t(sharedWorkload());
-    SweepOptions on;
-    on.minTotalBits = 4;
-    on.maxTotalBits = 7;
-    on.trackAliasing = true;
-    on.fuseJobs = true;
-    SweepOptions off = on;
-    off.fuseJobs = false;
-    SweepResult ra = sweepScheme(t, SchemeKind::GAs, on);
-    SweepResult rb = sweepScheme(t, SchemeKind::GAs, off);
-    expectSurfacesIdentical(ra.misprediction, rb.misprediction,
-                            "aliasing misp");
-    expectSurfacesIdentical(ra.aliasing, rb.aliasing, "aliasing rate");
-    expectSurfacesIdentical(ra.harmless, rb.harmless, "harmless");
+    SweepOptions o;
+    o.minTotalBits = 4;
+    o.maxTotalBits = 7;
+    o.trackAliasing = true;
+    SweepResult r = sweepScheme(t, SchemeKind::GAs, o);
+    for (const ConfigJob &job : planSweep(SchemeKind::GAs, o)) {
+        auto online = makePredictor("GAs:" + std::to_string(job.rowBits) +
+                                        ":" + std::to_string(job.colBits),
+                                    true);
+        const double misp = onlineMisp(*online);
+        const AliasTracker *alias =
+            dynamic_cast<TwoLevelPredictor &>(*online).pht().aliasStats();
+        ASSERT_NE(alias, nullptr);
+        EXPECT_EQ(*r.misprediction.at(job.totalBits, job.rowBits), misp)
+            << "r=" << job.rowBits << " c=" << job.colBits;
+        EXPECT_EQ(*r.aliasing.at(job.totalBits, job.rowBits),
+                  alias->aliasRate())
+            << "r=" << job.rowBits << " c=" << job.colBits;
+        EXPECT_EQ(*r.harmless.at(job.totalBits, job.rowBits),
+                  alias->harmlessFraction())
+            << "r=" << job.rowBits << " c=" << job.colBits;
+    }
 }
 
 TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
@@ -443,17 +482,15 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
     // GAs: every job shares the global-history stream -> one fused
     // group at threads=1, covering all jobs exactly once.
     auto jobs = planSweep(SchemeKind::GAs, o);
-    auto groups = planFusedGroups(jobs, o, 1);
+    auto groups = planFusedGroups(jobs, 1);
     ASSERT_EQ(groups.size(), 1u);
-    EXPECT_TRUE(groups[0].fused);
     EXPECT_EQ(groups[0].jobs.size(), jobs.size());
 
     // threads=3 chunks the group without losing or duplicating jobs.
-    auto chunked = planFusedGroups(jobs, o, 3);
+    auto chunked = planFusedGroups(jobs, 3);
     EXPECT_EQ(chunked.size(), 3u);
     std::vector<bool> seen(jobs.size(), false);
     for (const auto &g : chunked) {
-        EXPECT_TRUE(g.fused);
         for (std::size_t idx : g.jobs) {
             ASSERT_LT(idx, jobs.size());
             EXPECT_FALSE(seen[idx]) << "job " << idx << " duplicated";
@@ -466,21 +503,11 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
     // PAsFinite streams depend on the row width: one group per
     // distinct rowBits (widths 0..8 across tiers 4..8).
     auto finite_jobs = planSweep(SchemeKind::PAsFinite, o);
-    auto finite_groups = planFusedGroups(finite_jobs, o, 1);
+    auto finite_groups = planFusedGroups(finite_jobs, 1);
     EXPECT_EQ(finite_groups.size(), 9u);
     for (const auto &g : finite_groups) {
         for (std::size_t idx : g.jobs)
             EXPECT_EQ(finite_jobs[idx].rowBits, g.streamRowBits);
-    }
-
-    // Aliasing tracking forces one per-config fallback group per job.
-    SweepOptions aliasing = o;
-    aliasing.trackAliasing = true;
-    auto fallback = planFusedGroups(jobs, aliasing, 4);
-    ASSERT_EQ(fallback.size(), jobs.size());
-    for (const auto &g : fallback) {
-        EXPECT_FALSE(g.fused);
-        EXPECT_EQ(g.jobs.size(), 1u);
     }
 }
 
@@ -496,7 +523,7 @@ TEST(Sweep, FusedExecutionDoesZeroLockedLookupsAfterPrepare)
     for (SchemeKind kind : {SchemeKind::Gshare, SchemeKind::Path,
                             SchemeKind::PAsFinite}) {
         auto jobs = planSweep(kind, o);
-        auto groups = planFusedGroups(jobs, o, 2);
+        auto groups = planFusedGroups(jobs, 2);
         StreamCache cache(t, o);
         cache.prepare(jobs, 1);
         EXPECT_EQ(cache.lockedLookups(), 0u) << schemeKindName(kind);
@@ -578,14 +605,19 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
     // Narrow lanes read exactly one packed 4-byte record per branch.
     EXPECT_DOUBLE_EQ(r.kernel.hotBytesPerBranch(), 4.0);
 
-    // The per-config fallback path reports fallback jobs instead.
+    EXPECT_EQ(r.kernel.aliasLanes, 0u);
+
+    // Alias-tracked sweeps run the same fused group; their lanes
+    // stream the trace columns themselves instead of packed records.
     SweepOptions aliasing = o;
     aliasing.trackAliasing = true;
     SweepResult ra = sweepScheme(t, SchemeKind::GAs, aliasing);
-    EXPECT_EQ(ra.kernel.fusedGroups, 0u);
-    EXPECT_EQ(ra.kernel.lanes, 0u);
-    EXPECT_EQ(ra.kernel.fallbackJobs, jobs);
-    EXPECT_DOUBLE_EQ(ra.kernel.hotBytesPerBranch(), 0.0);
+    EXPECT_EQ(ra.kernel.fusedGroups, 1u);
+    EXPECT_EQ(ra.kernel.fallbackJobs, 0u);
+    EXPECT_EQ(ra.kernel.lanes, jobs);
+    EXPECT_EQ(ra.kernel.aliasLanes, jobs);
+    EXPECT_EQ(ra.kernel.laneBatches, 0u);
+    EXPECT_DOUBLE_EQ(ra.kernel.hotBytesPerBranch(), 17.0);
 }
 
 TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)
@@ -600,7 +632,7 @@ TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)
     // PAsFinite needs one stream per row width: tiers 4..8 use widths
     // 0..8, nine streams of 8 bytes per branch each.
     auto jobs = planSweep(SchemeKind::PAsFinite, o);
-    auto groups = planFusedGroups(jobs, o, 1);
+    auto groups = planFusedGroups(jobs, 1);
     ASSERT_EQ(groups.size(), 9u);
 
     // Without a release plan, eager preparation keeps all nine
@@ -650,7 +682,7 @@ TEST(Sweep, ReleasedStreamRebuildsOnLaterLookup)
     o.trackAliasing = false;
 
     auto jobs = planSweep(SchemeKind::Path, o);
-    auto groups = planFusedGroups(jobs, o, 1);
+    auto groups = planFusedGroups(jobs, 1);
     StreamCache cache(t, o);
     cache.planRelease(groups);
     std::vector<ConfigResult> slots(jobs.size());

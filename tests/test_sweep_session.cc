@@ -177,7 +177,7 @@ TEST(SweepSession, ConfigKeyExcludesExecutionKnobs)
     SweepOptions a = smallSweep();
     SweepOptions b = smallSweep();
     b.threads = 8;
-    b.fuseJobs = false;
+    b.fusedThreads = 3;
     b.simd = SimdTarget::Scalar;
     // Execution knobs are bit-identical: same key, cache may serve.
     EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, a),

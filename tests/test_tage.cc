@@ -335,27 +335,6 @@ TEST(TageZooTelemetry, BatchedSweepReportsModelGroupCounters)
             EXPECT_EQ(pt.value, 0.0);
 }
 
-TEST(TageZooTelemetry, UnfusedSweepStillReportsFallbackShape)
-{
-    // fuseJobs = false is the per-config baseline the perf bench
-    // measures against: every zoo job becomes its own fallback group
-    // and the model-group counters stay zero.
-    PreparedTrace prepared(sharedWorkload());
-    SweepOptions o;
-    o.minTotalBits = 6;
-    o.maxTotalBits = 7;
-    o.fuseJobs = false;
-    SweepResult r = sweepScheme(prepared, SchemeKind::Tage, o);
-
-    EXPECT_EQ(r.kernel.fusedGroups, 0u);
-    EXPECT_GT(r.kernel.fallbackJobs, 0u);
-    EXPECT_EQ(r.kernel.modelGroups, 0u);
-    EXPECT_EQ(r.kernel.modelLanes, 0u);
-    EXPECT_EQ(r.kernel.modelBatches, 0u);
-    EXPECT_GT(r.kernel.shardWorkers, 0u);
-    EXPECT_EQ(r.kernel.modelLanesPerGroup(), 0.0);
-}
-
 TEST(TageZooTelemetry, ZeroedCountersProduceFiniteRatios)
 {
     // A cache hit reports an all-zero KernelTelemetry; every derived
