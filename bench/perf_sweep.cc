@@ -23,18 +23,18 @@
  * smoke of this binary.  Speedups are *reported*, never asserted --
  * the committed BENCH_sweep.json seeds the perf trajectory, CI only
  * checks that the report is produced.  Each scheme's record carries
- * the kernel telemetry of its widest-target run (dispatch target,
- * lanes per group, blocks replayed, hot bytes per branch) so a perf
- * regression can be traced to a dispatch or fusion change without
- * rerunning under a profiler.
+ * the kernel telemetry of its widest-target run (every KernelTelemetry
+ * counter and ratio, e.g. dispatch target, lanes per group, blocks
+ * replayed, hot bytes per branch) so a perf regression can be traced
+ * to a dispatch or fusion change without rerunning under a profiler.
  *
  * A within-group scaling phase then runs one representative scheme
  * (GAs) through the full fused_threads x segments knob matrix
  * (1/2/4/8 on each axis).  Lane-sharded cells (segments=1) are
  * asserted bit-identical to the exact surface; speculative cells
  * (segments>1) report their max per-point epsilon instead.  The cell
- * grid, speedups and worker utilizations land in the same JSON under
- * "within_group_scaling".
+ * grid, speedups and each cell's kernel telemetry land in the same
+ * JSON under "within_group_scaling".
  *
  * A zoo phase times the batched TAGE/perceptron model-lane replay the
  * same way: batched[T] per dispatch target (batched[scalar] is the
@@ -68,6 +68,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "service/protocol.hh"
 #include "sim/sweep.hh"
 
 using namespace bpsim;
@@ -242,7 +243,7 @@ struct MatrixCell
     /** Max per-point |delta| vs exact (0 when segments == 1, where
      *  bit-identity is asserted, not measured). */
     double epsilon = 0.0;
-    double utilization = 0.0;
+    KernelTelemetry kernel;
 };
 
 double
@@ -463,12 +464,11 @@ main(int argc, char **argv)
             opts.fusedThreads = ft;
             opts.segments = segs;
             Surface surface("");
-            KernelTelemetry kernel;
             for (unsigned rep = 0; rep < reps; ++rep) {
                 const double s = runOnce(
                     session, handle.hash, matrix_kind, opts,
                     rep == 0 ? &surface : nullptr,
-                    rep == 0 ? &kernel : nullptr);
+                    rep == 0 ? &cell.kernel : nullptr);
                 cell.seconds =
                     rep == 0 ? s : std::min(cell.seconds, s);
             }
@@ -481,7 +481,6 @@ main(int argc, char **argv)
             else
                 cell.epsilon = maxSurfaceDelta(matrix_exact, surface);
             cell.speedup = matrix_base_s / cell.seconds;
-            cell.utilization = kernel.workerUtilization();
             matrix.push_back(cell);
             std::printf(" %6.3fs %4.2fx |", cell.seconds,
                         cell.speedup);
@@ -579,27 +578,8 @@ main(int argc, char **argv)
     const auto write_kernel = [&](const char *name,
                                   const KernelTelemetry &k,
                                   const char *tail) {
-        std::fprintf(
-            json,
-            "     \"%s\": {\"target\": \"%s\", "
-            "\"fused_groups\": %llu, \"fallback_jobs\": %llu,\n"
-            "      \"lanes_per_group\": %.2f, \"alias_lanes\": %llu, "
-            "\"lane_batches\": %llu, \"blocks_replayed\": %llu,\n"
-            "      \"hot_bytes_per_branch\": %.2f, "
-            "\"segments_per_group\": %.2f,\n"
-            "      \"shards_per_group\": %.2f, \"warmup_branches\": "
-            "%llu, \"worker_utilization\": %.3f}%s\n",
-            name, simdTargetName(k.target),
-            static_cast<unsigned long long>(k.fusedGroups),
-            static_cast<unsigned long long>(k.fallbackJobs),
-            k.lanesPerGroup(),
-            static_cast<unsigned long long>(k.aliasLanes),
-            static_cast<unsigned long long>(k.laneBatches),
-            static_cast<unsigned long long>(k.blocksReplayed),
-            k.hotBytesPerBranch(), k.segmentsPerGroup(),
-            k.shardsPerGroup(),
-            static_cast<unsigned long long>(k.warmupBranches),
-            k.workerUtilization(), tail);
+        std::fprintf(json, "     \"%s\": %s%s\n", name,
+                     service::telemetryJson(k).render().c_str(), tail);
     };
     std::fprintf(json, "  \"schemes\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -629,11 +609,11 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "    {\"fused_threads\": %u, \"segments\": %u, "
                      "\"seconds\": %.6f, \"speedup\": %.3f, "
-                     "\"epsilon\": %.3e, \"worker_utilization\": "
-                     "%.3f}%s\n",
+                     "\"epsilon\": %.3e,\n",
                      cell.fusedThreads, cell.segments, cell.seconds,
-                     cell.speedup, cell.epsilon, cell.utilization,
-                     i + 1 < matrix.size() ? "," : "");
+                     cell.speedup, cell.epsilon);
+        write_kernel("kernel", cell.kernel,
+                     i + 1 < matrix.size() ? "}," : "}");
     }
     std::fprintf(json, "  ]},\n");
     std::fprintf(json,
@@ -643,30 +623,13 @@ main(int argc, char **argv)
                  zoo_opts.minTotalBits, zoo_opts.maxTotalBits);
     for (std::size_t i = 0; i < zoo_results.size(); ++i) {
         const SchemeResult &r = zoo_results[i];
-        const KernelTelemetry &k = r.kernel;
         std::fprintf(json,
                      "    {\"scheme\": \"%s\", \"configs\": %zu,\n",
                      schemeKindName(r.kind), r.configs);
         write_targets("batched", r);
         write_mode("batched_threads", r, r.fusedThreads, ",");
-        std::fprintf(
-            json,
-            "     \"kernel\": {\"target\": \"%s\", "
-            "\"model_groups\": %llu, \"model_lanes\": %llu,\n"
-            "      \"model_lanes_per_group\": %.2f, "
-            "\"model_batches\": %llu, \"blocks_replayed\": %llu,\n"
-            "      \"segments_per_group\": %.2f, "
-            "\"shards_per_group\": %.2f, \"worker_utilization\": "
-            "%.3f}}%s\n",
-            simdTargetName(k.target),
-            static_cast<unsigned long long>(k.modelGroups),
-            static_cast<unsigned long long>(k.modelLanes),
-            k.modelLanesPerGroup(),
-            static_cast<unsigned long long>(k.modelBatches),
-            static_cast<unsigned long long>(k.blocksReplayed),
-            k.segmentsPerGroup(), k.shardsPerGroup(),
-            k.workerUtilization(),
-            i + 1 < zoo_results.size() ? "," : "");
+        write_kernel("kernel", r.kernel,
+                     i + 1 < zoo_results.size() ? "}," : "}");
     }
     std::fprintf(json, "  ]},\n");
     std::fprintf(json, "  \"geomean_simd_vs_scalar_fused\": {");

@@ -1,5 +1,10 @@
 #include "service/protocol.hh"
 
+#include <algorithm>
+#include <span>
+#include <type_traits>
+#include <variant>
+
 namespace bpsim::service {
 
 namespace {
@@ -100,111 +105,68 @@ parseTraceRef(const JsonValue &v, const ProtocolLimits &limits)
     return ref;
 }
 
+/** Parse one "options" member into @p opts through its table row. */
+Status
+parseOption(const OptionField &f, const JsonValue &value,
+            const ProtocolLimits &limits, SweepOptions &opts)
+{
+    const char *key = f.protocolKey;
+    if (std::holds_alternative<bool SweepOptions::*>(f.member)) {
+        Result<bool> b = boolField(value, key);
+        if (!b.ok())
+            return b.error();
+        f.set(opts, {b.value()});
+        return Status();
+    }
+    // A number, or for the list option 1..8 strictly ascending ones.
+    const bool list =
+        std::holds_alternative<std::vector<unsigned> SweepOptions::*>(
+            f.member);
+    if (list && (!value.isArray() || value.array().empty() ||
+                 value.array().size() > 8))
+        return BPSIM_ERROR("field \"", key,
+                           "\" must be an array of 1..8 values");
+    // The tier range is capped again by the server's limit.
+    const std::uint64_t max =
+        f.scope == KeyScope::TierRange
+            ? std::min<std::uint64_t>(f.max, limits.maxTotalBits)
+            : f.max;
+    std::vector<std::uint64_t> values;
+    for (const JsonValue &item : list ? std::span(value.array())
+                                      : std::span(&value, 1)) {
+        Result<std::uint64_t> n = uintField(item, key, f.min, max);
+        if (!n.ok())
+            return n.error();
+        if (f.powerOfTwo && !isPowerOfTwo(n.value()))
+            return BPSIM_ERROR("field \"", key,
+                               "\" must be a power of two, got ",
+                               n.value());
+        if (!values.empty() && n.value() <= values.back())
+            return BPSIM_ERROR("field \"", key,
+                               "\" must be strictly ascending");
+        values.push_back(n.value());
+    }
+    f.set(opts, values);
+    return Status();
+}
+
 Status
 parseOptions(const JsonValue &v, const ProtocolLimits &limits,
              SweepOptions &opts)
 {
     if (!v.isObject())
         return BPSIM_ERROR("field \"options\" must be an object");
+    const std::vector<OptionField> &fields = sweepOptionFields();
     for (const auto &[key, value] : v.object()) {
-        if (key == "min_bits") {
-            Result<std::uint64_t> n =
-                uintField(value, "min_bits", 1, limits.maxTotalBits);
-            if (!n.ok())
-                return n.error();
-            opts.minTotalBits = static_cast<unsigned>(n.value());
-        } else if (key == "max_bits") {
-            Result<std::uint64_t> n =
-                uintField(value, "max_bits", 1, limits.maxTotalBits);
-            if (!n.ok())
-                return n.error();
-            opts.maxTotalBits = static_cast<unsigned>(n.value());
-        } else if (key == "aliasing") {
-            Result<bool> b = boolField(value, "aliasing");
-            if (!b.ok())
-                return b.error();
-            opts.trackAliasing = b.value();
-        } else if (key == "path_bits") {
-            Result<std::uint64_t> n =
-                uintField(value, "path_bits", 1, 16);
-            if (!n.ok())
-                return n.error();
-            opts.pathBitsPerTarget = static_cast<unsigned>(n.value());
-        } else if (key == "bht_entries") {
-            Result<std::uint64_t> n =
-                uintField(value, "bht_entries", 1, 1ull << 24);
-            if (!n.ok())
-                return n.error();
-            if (!isPowerOfTwo(n.value()))
-                return BPSIM_ERROR("field \"bht_entries\" must be a "
-                                   "power of two, got ",
-                                   n.value());
-            opts.bhtEntries = static_cast<std::size_t>(n.value());
-        } else if (key == "bht_assoc") {
-            Result<std::uint64_t> n =
-                uintField(value, "bht_assoc", 1, 64);
-            if (!n.ok())
-                return n.error();
-            opts.bhtAssoc = static_cast<unsigned>(n.value());
-        } else if (key == "segments") {
-            // 1 = exact replay (the default resolution); > 1 opts the
-            // request into speculative segment-parallel replay, which
-            // is keyed separately in the result cache.
-            Result<std::uint64_t> n = uintField(
-                value, "segments", 1, SweepOptions::kMaxSegments);
-            if (!n.ok())
-                return n.error();
-            opts.segments = static_cast<unsigned>(n.value());
-        } else if (key == "fused_threads") {
-            // Execution-only knob (bit-identical, not cache-keyed);
-            // 0 = all hardware threads.
-            Result<std::uint64_t> n =
-                uintField(value, "fused_threads", 0, 256);
-            if (!n.ok())
-                return n.error();
-            opts.fusedThreads = static_cast<unsigned>(n.value());
-        } else if (key == "segment_warmup") {
-            Result<std::uint64_t> n = uintField(
-                value, "segment_warmup", 0, 1ull << 20);
-            if (!n.ok())
-                return n.error();
-            opts.segmentWarmup =
-                static_cast<unsigned>(n.value());
-        } else if (key == "tage_tag_bits") {
-            Result<std::uint64_t> n =
-                uintField(value, "tage_tag_bits", 2, 16);
-            if (!n.ok())
-                return n.error();
-            opts.tageTagBits = static_cast<unsigned>(n.value());
-        } else if (key == "tage_histories") {
-            // A JSON array of per-component history lengths, strictly
-            // ascending -- the one list-valued option in the protocol.
-            if (!value.isArray() || value.array().empty() ||
-                value.array().size() > 8)
-                return BPSIM_ERROR("field \"tage_histories\" must be "
-                                   "an array of 1..8 lengths");
-            std::vector<unsigned> lengths;
-            for (const JsonValue &item : value.array()) {
-                Result<std::uint64_t> n =
-                    uintField(item, "tage_histories[]", 1, 64);
-                if (!n.ok())
-                    return n.error();
-                if (!lengths.empty() && n.value() <= lengths.back())
-                    return BPSIM_ERROR(
-                        "field \"tage_histories\" must be strictly "
-                        "ascending");
-                lengths.push_back(static_cast<unsigned>(n.value()));
-            }
-            opts.tageHistories = std::move(lengths);
-        } else if (key == "perceptron_tables") {
-            Result<std::uint64_t> n =
-                uintField(value, "perceptron_tables", 2, 16);
-            if (!n.ok())
-                return n.error();
-            opts.perceptronTables = static_cast<unsigned>(n.value());
-        } else {
+        auto f = std::find_if(
+            fields.begin(), fields.end(), [&](const OptionField &row) {
+                return row.protocolKey && key == row.protocolKey;
+            });
+        if (f == fields.end())
             return BPSIM_ERROR("unknown options field \"", key, "\"");
-        }
+        Status s = parseOption(*f, value, limits, opts);
+        if (!s.ok())
+            return s;
     }
     if (opts.minTotalBits > opts.maxTotalBits)
         return BPSIM_ERROR("options min_bits (", opts.minTotalBits,
@@ -427,6 +389,27 @@ sweepResponseJson(const SweepResponse &response)
     obj.emplace("coalesced", JsonValue(response.coalesced));
     obj.emplace("seconds", JsonValue(response.seconds));
     obj.emplace("result", JsonValue(std::move(result)));
+    return JsonValue(std::move(obj));
+}
+
+JsonValue
+telemetryJson(const KernelTelemetry &kernel)
+{
+    JsonValue::Object obj;
+    KernelTelemetry::forEachField([&](const char *key, auto field, auto) {
+        using F = decltype(field);
+        if constexpr (std::is_member_function_pointer_v<F>) {
+            obj.emplace(key, JsonValue((kernel.*field)()));
+        } else {
+            const auto v = kernel.*field;
+            if constexpr (std::is_enum_v<decltype(v)>)
+                obj.emplace(key, JsonValue(simdTargetName(v)));
+            else if constexpr (std::is_integral_v<decltype(v)>)
+                obj.emplace(key, JsonValue(static_cast<std::int64_t>(v)));
+            else
+                obj.emplace(key, JsonValue(v));
+        }
+    });
     return JsonValue(std::move(obj));
 }
 

@@ -136,6 +136,10 @@ JsonValue surfaceJson(const Surface &surface);
  *  and the cache/coalescing provenance flags. */
 JsonValue sweepResponseJson(const SweepResponse &response);
 
+/** Kernel telemetry as an object of every forEachField() entry: the
+ *  target a string, counts integers, seconds and ratios reals. */
+JsonValue telemetryJson(const KernelTelemetry &kernel);
+
 } // namespace bpsim::service
 
 #endif // BPSIM_SERVICE_PROTOCOL_HH

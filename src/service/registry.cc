@@ -55,13 +55,17 @@ SchemeRegistry::resolve(const std::string &name) const
         if (name.find(':') != std::string::npos ||
             name.find('(') != std::string::npos ||
             name.find(',') != std::string::npos) {
+            std::vector<std::string> params;
+            for (const OptionField &f : sweepOptionFields())
+                if (f.protocolKey && f.schemes != kEveryScheme)
+                    params.push_back(f.protocolKey);
             return BPSIM_ERROR(
                 "unknown scheme \"", name,
                 "\" -- looks like a predictor spec string; the "
                 "service takes a bare scheme name (registered: ",
                 joinNames(names()),
-                ") with per-scheme parameters in \"options\" (e.g. "
-                "tage_tag_bits, tage_histories, perceptron_tables)");
+                ") with per-scheme parameters in \"options\" (",
+                joinNames(params), ")");
         }
         return BPSIM_ERROR("unknown scheme \"", name,
                            "\" (registered: ", joinNames(names()), ")");
@@ -85,14 +89,7 @@ SchemeRegistry
 SchemeRegistry::withBuiltins()
 {
     SchemeRegistry reg;
-    const SchemeKind kinds[] = {
-        SchemeKind::AddressIndexed, SchemeKind::GAg,
-        SchemeKind::GAs,            SchemeKind::Gshare,
-        SchemeKind::Path,           SchemeKind::PAsPerfect,
-        SchemeKind::PAsFinite,      SchemeKind::Tage,
-        SchemeKind::Perceptron,
-    };
-    for (SchemeKind kind : kinds) {
+    for (SchemeKind kind : kSchemeKinds) {
         const std::string display = schemeKindName(kind);
         static_cast<void>(reg.registerScheme(display, kind));
         const std::string lower = lowercase(display);

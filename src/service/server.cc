@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <exception>
+#include <list>
 #include <thread>
 
 #include "common/logging.hh"
@@ -351,47 +352,6 @@ SweepServer::handleStats(const Request &req)
                   JsonValue(static_cast<std::int64_t>(
                       server.queue.batch.coalescedRequests)));
 
-    // Cumulative kernel telemetry over every envelope replay the
-    // daemon has executed (cache hits contribute nothing).
-    const KernelTelemetry &kernel = server.queue.batch.kernel;
-    JsonValue::Object kernelObj;
-    kernelObj.emplace("target",
-                      JsonValue(simdTargetName(kernel.target)));
-    kernelObj.emplace("fused_groups",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.fusedGroups)));
-    kernelObj.emplace("lanes", JsonValue(static_cast<std::int64_t>(
-                                   kernel.lanes)));
-    kernelObj.emplace("segments",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.segments)));
-    kernelObj.emplace("lane_shards",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.laneShards)));
-    kernelObj.emplace("shard_tasks",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.shardTasks)));
-    kernelObj.emplace("segments_per_group",
-                      JsonValue(kernel.segmentsPerGroup()));
-    kernelObj.emplace("shards_per_group",
-                      JsonValue(kernel.shardsPerGroup()));
-    kernelObj.emplace("warmup_branches",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.warmupBranches)));
-    kernelObj.emplace("model_groups",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.modelGroups)));
-    kernelObj.emplace("model_lanes",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.modelLanes)));
-    kernelObj.emplace("model_batches",
-                      JsonValue(static_cast<std::int64_t>(
-                          kernel.modelBatches)));
-    kernelObj.emplace("model_lanes_per_group",
-                      JsonValue(kernel.modelLanesPerGroup()));
-    kernelObj.emplace("worker_utilization",
-                      JsonValue(kernel.workerUtilization()));
-
     JsonValue::Object cacheObj;
     cacheObj.emplace("memory_hits", JsonValue(static_cast<std::int64_t>(
                                         cache.memoryHits)));
@@ -419,7 +379,10 @@ SweepServer::handleStats(const Request &req)
         "errors",
         JsonValue(static_cast<std::int64_t>(server.errors)));
     out.object().emplace("queue", JsonValue(std::move(queue)));
-    out.object().emplace("kernel", JsonValue(std::move(kernelObj)));
+    // Cumulative kernel telemetry over every envelope replay the
+    // daemon has executed (cache hits contribute nothing).
+    out.object().emplace("kernel",
+                         telemetryJson(server.queue.batch.kernel));
     out.object().emplace("cache", JsonValue(std::move(cacheObj)));
     out.object().emplace("traces_interned",
                          JsonValue(static_cast<std::int64_t>(
@@ -538,7 +501,11 @@ SweepServer::serveSocket(const std::string &path)
     }
     listenFd_.store(fd, std::memory_order_release);
 
-    std::vector<std::thread> workers;
+    // Workers flag themselves done and are joined as new clients
+    // arrive, so a long-lived daemon holds a thread (and its stack)
+    // per open connection, not per connection ever served.  A list
+    // keeps each flag's address stable.
+    std::list<std::pair<std::thread, std::atomic<bool>>> workers;
     Status status;
     while (!shutdownRequested()) {
         int conn = ::accept(fd, nullptr, nullptr);
@@ -561,15 +528,23 @@ SweepServer::serveSocket(const std::string &path)
             std::lock_guard<std::mutex> lock(connMutex_);
             connFds_.push_back(conn);
         }
-        workers.emplace_back(
-            [this, conn] { serveConnection(conn); });
+        workers.remove_if([](auto &w) {
+            if (w.second.load(std::memory_order_acquire))
+                w.first.join();
+            return !w.first.joinable();
+        });
+        auto &[thread, done] = workers.emplace_back();
+        thread = std::thread([this, conn, &done] {
+            serveConnection(conn);
+            done.store(true, std::memory_order_release);
+        });
     }
 
     listenFd_.store(-1, std::memory_order_release);
     ::close(fd);
     ::unlink(path.c_str());
-    for (std::thread &worker : workers)
-        worker.join();
+    for (auto &[thread, done] : workers)
+        thread.join();
     return status;
 }
 

@@ -168,10 +168,11 @@ class SweepServer
     /**
      * Accept clients on a unix socket at @p path (an existing file at
      * that path is replaced), one thread per connection, until a
-     * shutdown request arrives on any connection.  The socket file is
-     * removed on return.  A failing accept() (e.g. EMFILE) stops the
-     * server too: open connections are woken and joined, the failure
-     * is logged, and it is returned as an error Status.
+     * shutdown request arrives on any connection (finished ones are
+     * joined as new clients arrive).  The socket file is removed on
+     * return.  A failing accept() (e.g. EMFILE) stops the server
+     * too: open connections are woken and joined, the failure is
+     * logged, and it is returned as an error Status.
      */
     Status serveSocket(const std::string &path);
 

@@ -885,85 +885,90 @@ runModelBatch(const PreparedTrace &t, const SweepOptions &opts,
 
 } // namespace
 
-double
-KernelTelemetry::lanesPerGroup() const
-{
-    return fusedGroups ? static_cast<double>(lanes) /
-                             static_cast<double>(fusedGroups)
-                       : 0.0;
-}
-
-double
-KernelTelemetry::modelLanesPerGroup() const
-{
-    return modelGroups ? static_cast<double>(modelLanes) /
-                             static_cast<double>(modelGroups)
-                       : 0.0;
-}
-
-double
-KernelTelemetry::hotBytesPerBranch() const
-{
-    if (lanes == 0)
-        return 0.0;
-    const std::uint64_t streamed = wideLanes + aliasLanes;
-    return (4.0 * static_cast<double>(lanes - streamed) +
-            17.0 * static_cast<double>(streamed)) /
-           static_cast<double>(lanes);
-}
-
-double
-KernelTelemetry::segmentsPerGroup() const
-{
-    // Fused and model groups both run the shard x segment grid, so
-    // the per-group means average over the combined population.
-    const std::uint64_t groups = fusedGroups + modelGroups;
-    return groups ? static_cast<double>(segments) /
-                        static_cast<double>(groups)
-                  : 0.0;
-}
-
-double
-KernelTelemetry::shardsPerGroup() const
-{
-    const std::uint64_t groups = fusedGroups + modelGroups;
-    return groups ? static_cast<double>(laneShards) /
-                        static_cast<double>(groups)
-                  : 0.0;
-}
-
-double
-KernelTelemetry::workerUtilization() const
-{
-    if (spanSeconds <= 0.0 || shardWorkers == 0)
-        return 0.0;
-    return busySeconds /
-           (spanSeconds * static_cast<double>(shardWorkers));
-}
-
 void
 KernelTelemetry::merge(const KernelTelemetry &other)
 {
-    target = other.target;
-    fusedGroups += other.fusedGroups;
-    fallbackJobs += other.fallbackJobs;
-    lanes += other.lanes;
-    wideLanes += other.wideLanes;
-    aliasLanes += other.aliasLanes;
-    laneBatches += other.laneBatches;
-    blocksReplayed += other.blocksReplayed;
-    segments += other.segments;
-    laneShards += other.laneShards;
-    shardTasks += other.shardTasks;
-    warmupBranches += other.warmupBranches;
-    modelGroups += other.modelGroups;
-    modelLanes += other.modelLanes;
-    modelBatches += other.modelBatches;
-    busySeconds += other.busySeconds;
-    spanSeconds += other.spanSeconds;
-    // The widest task phase seen; utilisation divides busy time by
-    // span * this, so taking the max keeps the ratio conservative.
-    shardWorkers = std::max(shardWorkers, other.shardWorkers);
+    forEachField([&](const char *, auto field, Merge rule) {
+        using F = decltype(field);
+        if constexpr (!std::is_member_function_pointer_v<F>) {
+            auto &mine = this->*field;
+            if (rule == Merge::Last)
+                mine = other.*field;
+            else if constexpr (!std::is_enum_v<
+                                   std::decay_t<decltype(mine)>>)
+                mine = rule == Merge::Max ? std::max(mine, other.*field)
+                                          : mine + other.*field;
+        }
+    });
+}
+
+const std::vector<OptionField> &
+sweepOptionFields()
+{
+    using O = SweepOptions;
+    using K = KeyScope;
+    constexpr std::uint32_t all = kEveryScheme;
+    constexpr std::uint32_t bht = schemeBit(SchemeKind::PAsFinite);
+    constexpr std::uint32_t tage = schemeBit(SchemeKind::Tage);
+    // member, protocol key, key token, read by, key scope, protocol
+    // [min, max] (tiers capped again by ProtocolLimits), power of two.
+    static const std::vector<OptionField> fields = {
+        {&O::minTotalBits, "min_bits", "min", all, K::TierRange, 1, 64},
+        {&O::maxTotalBits, "max_bits", "max", all, K::TierRange, 1, 64},
+        {&O::trackAliasing, "aliasing", "alias", all, K::Scheme},
+        {&O::pathBitsPerTarget, "path_bits", "pathbits",
+         schemeBit(SchemeKind::Path), K::Scheme, 1, 16},
+        {&O::bhtEntries, "bht_entries", "bht", bht, K::Scheme, 1,
+         1ull << 24, true},
+        {&O::bhtAssoc, "bht_assoc", "assoc", bht, K::Scheme, 1, 64},
+        {&O::bhtResetPolicy, nullptr, "reset", bht, K::Scheme},
+        {&O::tageTagBits, "tage_tag_bits", "tagbits", tage, K::Scheme,
+         2, 16},
+        {&O::tageHistories, "tage_histories", "histories", tage,
+         K::Scheme, 1, 64},
+        {&O::perceptronTables, "perceptron_tables", "ptables",
+         schemeBit(SchemeKind::Perceptron), K::Scheme, 2, 16},
+        {&O::threads, nullptr, nullptr, all, K::Scheme},
+        {&O::simd, nullptr, nullptr, all, K::Scheme},
+        {&O::fusedThreads, "fused_threads", nullptr, all, K::Scheme, 0,
+         256},
+        {&O::segments, "segments", "segments", all, K::Speculative, 1,
+         SweepOptions::kMaxSegments},
+        {&O::segmentWarmup, "segment_warmup", "warmup", all,
+         K::Speculative, 0, 1ull << 20},
+    };
+    return fields;
+}
+
+std::vector<std::uint64_t>
+OptionField::get(const SweepOptions &opts) const
+{
+    return std::visit(
+        [&](auto field) -> std::vector<std::uint64_t> {
+            const auto &value = opts.*field;
+            if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                         std::vector<unsigned>>)
+                return {value.begin(), value.end()};
+            else
+                return {static_cast<std::uint64_t>(value)};
+        },
+        member);
+}
+
+void
+OptionField::set(SweepOptions &opts,
+                 const std::vector<std::uint64_t> &values) const
+{
+    std::visit(
+        [&](auto field) {
+            auto &value = opts.*field;
+            using T = std::decay_t<decltype(value)>;
+            if constexpr (std::is_same_v<T, std::vector<unsigned>>)
+                value.assign(values.begin(), values.end());
+            else
+                value = static_cast<T>(values.at(0));
+        },
+        member);
 }
 
 unsigned
@@ -1532,9 +1537,8 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
                 cache.groupFinished(groups[g]);
             });
     }
-    // Aggregate: every group resolved the same dispatch target, so
-    // merging in any order yields one coherent telemetry record.
-    result.kernel.target = resolveSimdTarget(opts.simd);
+    // Aggregate: merging in any order yields one coherent record, and
+    // the target is the one every group resolved.
     for (const KernelTelemetry &group : group_telemetry)
         result.kernel.merge(group);
     result.kernel.target = resolveSimdTarget(opts.simd);

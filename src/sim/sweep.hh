@@ -53,6 +53,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "common/simd.hh"
@@ -88,6 +89,13 @@ enum class SchemeKind
      */
     Tage,       ///< tagged geometric-history components over a base
     Perceptron, ///< hashed perceptron (summed signed weight tables)
+};
+
+/** Every SchemeKind, in declaration order. */
+constexpr SchemeKind kSchemeKinds[] = {
+    SchemeKind::AddressIndexed, SchemeKind::GAg,  SchemeKind::GAs,
+    SchemeKind::Gshare,         SchemeKind::Path, SchemeKind::PAsPerfect,
+    SchemeKind::PAsFinite,      SchemeKind::Tage, SchemeKind::Perceptron,
 };
 
 /** @return the scheme's display name ("GAs", "gshare", ...). */
@@ -151,7 +159,7 @@ struct SweepOptions
      * fused replay.  Composes with `threads`: groups distribute outer,
      * shards inner (the pool's nested parallelFor is deadlock-free).
      * Execution knob only: excluded from result-cache keys
-     * (sweep_session.cc), exactly like `threads` and `simd`.
+     * (sweepOptionFields), exactly like `threads` and `simd`.
      */
     unsigned fusedThreads = 1;
     /**
@@ -170,7 +178,7 @@ struct SweepOptions
      * alias-tracked ones, which stay exact.  Speculative
      * results depend only on (K, segmentWarmup) -- never on shard or
      * worker counts -- and are cached under a distinct key
-     * (sweep_session.cc).  Clamped to kMaxSegments; see
+     * (KeyScope::Speculative).  Clamped to kMaxSegments; see
      * resolveSegments().
      */
     unsigned segments = 0;
@@ -185,6 +193,65 @@ struct SweepOptions
     /** Hard ceiling on resolveSegments() (protocol limit too). */
     static constexpr unsigned kMaxSegments = 64;
 };
+
+/** How the result-cache key treats an option (sweep_session.cc). */
+enum class KeyScope : std::uint8_t
+{
+    Scheme,      ///< keyed for the schemes that read it
+    TierRange,   ///< keyed, but left out of batchGroupKey
+    Speculative, ///< keyed only when resolveSegments() > 1
+};
+
+/** Bit of @p kind in an OptionField::schemes mask. */
+constexpr std::uint32_t
+schemeBit(SchemeKind kind)
+{
+    return 1u << static_cast<unsigned>(kind);
+}
+
+/** OptionField::schemes of a field every scheme reads. */
+constexpr std::uint32_t kEveryScheme = ~0u;
+
+/**
+ * One SweepOptions field, declared once.  The table of these
+ * (sweepOptionFields) drives the result-cache key, the service
+ * protocol's option parsing and its unknown-scheme hint: a new knob
+ * is a member plus a row.
+ */
+struct OptionField
+{
+    std::variant<bool SweepOptions::*, unsigned SweepOptions::*,
+                 std::size_t SweepOptions::*,
+                 BhtResetPolicy SweepOptions::*,
+                 SimdTarget SweepOptions::*,
+                 std::vector<unsigned> SweepOptions::*>
+        member;
+    /** Protocol (JSON) key; nullptr when not settable remotely. */
+    const char *protocolKey;
+    /** Cache-key token; nullptr for execution-only fields (every
+     *  value gives bit-identical results). */
+    const char *keyToken;
+    /** The schemes that read the field (schemeBit() mask). */
+    std::uint32_t schemes;
+    KeyScope scope;
+    /** Protocol range of the value (of each of the list's 1..8
+     *  strictly ascending elements); a power of two if set. */
+    std::uint64_t min = 0, max = 0;
+    bool powerOfTwo = false;
+
+    bool readBy(SchemeKind kind) const
+    {
+        return (schemes & schemeBit(kind)) != 0;
+    }
+    /** The value as integers: the list's elements, else one. */
+    std::vector<std::uint64_t> get(const SweepOptions &opts) const;
+    /** Store @p values into @p opts; the inverse of get(). */
+    void set(SweepOptions &opts,
+             const std::vector<std::uint64_t> &values) const;
+};
+
+/** Every SweepOptions field, in declaration order. */
+const std::vector<OptionField> &sweepOptionFields();
 
 /**
  * The within-group shard executor count a sweep actually uses:
@@ -205,8 +272,11 @@ unsigned resolveSegments(const SweepOptions &opts);
 
 /**
  * Observability counters for one sweep's kernel execution, reported in
- * SweepResult::kernel and surfaced by bench/perf_sweep so recorded
- * BENCH_sweep.json trajectories are self-describing.
+ * SweepResult::kernel, the service `stats` op and bench/perf_sweep so
+ * recorded BENCH_sweep.json trajectories are self-describing.  Every
+ * counter and derived ratio is declared once, with its JSON key and
+ * merge rule, in forEachField(): merge() and every JSON surface walk
+ * it, so a new counter is a member plus a row there.
  */
 struct KernelTelemetry
 {
@@ -216,8 +286,8 @@ struct KernelTelemetry
     std::uint64_t fusedGroups = 0;
     /**
      * Jobs replayed outside any group.  Every job runs in a fused or
-     * model group, so this stays 0; reports and the service's
-     * `fallback_jobs` stat still read it.
+     * model group, so this stays 0; it is still reported
+     * (`fallback_jobs`) because external benchmark harnesses read it.
      */
     std::uint64_t fallbackJobs = 0;
     /** Member configurations replayed by fused groups. */
@@ -263,28 +333,103 @@ struct KernelTelemetry
     std::uint64_t shardWorkers = 0;
 
     /** Mean member configurations per fused group. */
-    double lanesPerGroup() const;
+    double lanesPerGroup() const { return ratio(lanes, fusedGroups); }
     /** Mean member configurations per model group. */
-    double modelLanesPerGroup() const;
-    /** Mean trace segments per fused group (1.0 = exact everywhere). */
-    double segmentsPerGroup() const;
-    /** Mean lane shards per fused group (1.0 = unsharded). */
-    double shardsPerGroup() const;
+    double modelLanesPerGroup() const
+    {
+        return ratio(modelLanes, modelGroups);
+    }
+    /** Mean trace segments per fused or model group (both run the
+     *  shard x segment grid; 1.0 = exact everywhere). */
+    double segmentsPerGroup() const
+    {
+        return ratio(segments, fusedGroups + modelGroups);
+    }
+    /** Mean lane shards per fused or model group (1.0 = unsharded). */
+    double shardsPerGroup() const
+    {
+        return ratio(laneShards, fusedGroups + modelGroups);
+    }
     /**
      * Fraction of the task phase's worker-seconds spent executing:
      * busySeconds / (spanSeconds * shardWorkers).  1.0 means every
      * executor was busy for the whole span; 0.0 when unmeasured.
      */
-    double workerUtilization() const;
+    double workerUtilization() const
+    {
+        return ratio(busySeconds,
+                     spanSeconds * static_cast<double>(shardWorkers));
+    }
     /**
      * Bytes the lane inner loop reads per branch per lane: 4 (one
      * packed record) for narrow lanes, 17 (row, column source,
      * outcome) for wide-fallback and alias lanes, which read the
      * trace columns themselves, averaged over the lane population.
      */
-    double hotBytesPerBranch() const;
+    double hotBytesPerBranch() const
+    {
+        const std::uint64_t streamed = wideLanes + aliasLanes;
+        return ratio(4.0 * static_cast<double>(lanes - streamed) +
+                         17.0 * static_cast<double>(streamed),
+                     lanes);
+    }
     /** Fold one group's counters into a sweep-level aggregate. */
     void merge(const KernelTelemetry &other);
+
+    /** How merge() folds a member; Derived marks the ratios. */
+    enum class Merge : std::uint8_t
+    {
+        Sum,
+        Max,
+        Last,
+        Derived,
+    };
+
+    /**
+     * The telemetry table: fn(JSON key, member, merge rule) for every
+     * member, in declaration order, then fn(key, accessor,
+     * Merge::Derived) for every derived ratio.  shardWorkers takes
+     * the max, which keeps workerUtilization conservative.
+     */
+    template <class Fn>
+    static void
+    forEachField(Fn &&fn)
+    {
+        using K = KernelTelemetry;
+        constexpr Merge sum = Merge::Sum;
+        fn("target", &K::target, Merge::Last);
+        fn("fused_groups", &K::fusedGroups, sum);
+        fn("fallback_jobs", &K::fallbackJobs, sum);
+        fn("lanes", &K::lanes, sum);
+        fn("wide_lanes", &K::wideLanes, sum);
+        fn("alias_lanes", &K::aliasLanes, sum);
+        fn("lane_batches", &K::laneBatches, sum);
+        fn("blocks_replayed", &K::blocksReplayed, sum);
+        fn("segments", &K::segments, sum);
+        fn("lane_shards", &K::laneShards, sum);
+        fn("shard_tasks", &K::shardTasks, sum);
+        fn("warmup_branches", &K::warmupBranches, sum);
+        fn("model_groups", &K::modelGroups, sum);
+        fn("model_lanes", &K::modelLanes, sum);
+        fn("model_batches", &K::modelBatches, sum);
+        fn("busy_seconds", &K::busySeconds, sum);
+        fn("span_seconds", &K::spanSeconds, sum);
+        fn("shard_workers", &K::shardWorkers, Merge::Max);
+        constexpr Merge derived = Merge::Derived;
+        fn("lanes_per_group", &K::lanesPerGroup, derived);
+        fn("model_lanes_per_group", &K::modelLanesPerGroup, derived);
+        fn("segments_per_group", &K::segmentsPerGroup, derived);
+        fn("shards_per_group", &K::shardsPerGroup, derived);
+        fn("worker_utilization", &K::workerUtilization, derived);
+        fn("hot_bytes_per_branch", &K::hotBytesPerBranch, derived);
+    }
+
+  private:
+    /** @p num / @p den, or 0.0 when nothing was measured. */
+    static double ratio(double num, double den)
+    {
+        return den > 0.0 ? num / den : 0.0;
+    }
 };
 
 /** One configuration's measurements. */

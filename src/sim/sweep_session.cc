@@ -51,60 +51,31 @@ SweepSession::internFile(const std::string &path)
 namespace {
 
 /**
- * The result-affecting options shared by every tier of a scheme --
- * everything cacheConfigKey() serialises except the tier range.  This
- * is exactly what two requests must agree on to share one envelope
- * replay (batchGroupKey), since the first-level stream and per-config
- * semantics depend on nothing else.
+ * The canonical key of the result-affecting options @p kind reads
+ * (sweepOptionFields rows with a key token), with or without the tier
+ * range.  A list is one comma-joined token; canonicalKey sorts the
+ * tokens and all-integer lists, so equivalent orderings collapse.
  */
-std::vector<std::string>
-schemeOptionTokens(SchemeKind kind, const SweepOptions &opts)
+std::string
+optionKey(SchemeKind kind, const SweepOptions &opts, bool with_tiers)
 {
-    std::vector<std::string> tokens = {
-        "alias=" + std::to_string(opts.trackAliasing ? 1 : 0),
-    };
-    if (kind == SchemeKind::Path) {
-        tokens.push_back("pathbits=" +
-                         std::to_string(opts.pathBitsPerTarget));
-    }
-    if (kind == SchemeKind::PAsFinite) {
-        tokens.push_back("bht=" + std::to_string(opts.bhtEntries));
-        tokens.push_back("assoc=" + std::to_string(opts.bhtAssoc));
-        tokens.push_back(
-            "reset=" +
-            std::to_string(static_cast<int>(opts.bhtResetPolicy)));
-    }
-    if (kind == SchemeKind::Tage) {
-        tokens.push_back("tagbits=" +
-                         std::to_string(opts.tageTagBits));
-        // The history lengths are one list-valued token; canonicalKey
-        // sorts all-integer lists, so equivalent orderings collapse.
-        std::string lengths;
-        for (unsigned h : opts.tageHistories) {
-            if (!lengths.empty())
-                lengths += ',';
-            lengths += std::to_string(h);
+    SweepOptions resolved = opts;
+    resolved.segments = resolveSegments(opts);
+    std::vector<std::string> tokens;
+    for (const OptionField &f : sweepOptionFields()) {
+        if (!f.keyToken || !f.readBy(kind) ||
+            (f.scope == KeyScope::TierRange && !with_tiers) ||
+            (f.scope == KeyScope::Speculative && resolved.segments <= 1))
+            continue;
+        std::string token = std::string(f.keyToken) + "=";
+        const char *sep = "";
+        for (std::uint64_t v : f.get(resolved)) {
+            token += sep + std::to_string(v);
+            sep = ",";
         }
-        tokens.push_back("histories=" + lengths);
+        tokens.push_back(std::move(token));
     }
-    if (kind == SchemeKind::Perceptron) {
-        tokens.push_back("ptables=" +
-                         std::to_string(opts.perceptronTables));
-    }
-    // Speculative segment replay changes results, so a speculative
-    // sweep must never serve (or be served by) an exact one.  The
-    // resolved count is keyed -- not the raw option -- so an explicit
-    // segments=4 and a BPSIM_SEGMENTS=4 run share an entry, and exact
-    // mode (the resolved default) keeps its historical key.  The
-    // warm-up width joins only alongside segments: it is read only
-    // when K > 1.
-    const unsigned segments = resolveSegments(opts);
-    if (segments > 1) {
-        tokens.push_back("segments=" + std::to_string(segments));
-        tokens.push_back("warmup=" +
-                         std::to_string(opts.segmentWarmup));
-    }
-    return tokens;
+    return Config::parseTokens(tokens).canonicalKey();
 }
 
 } // namespace
@@ -112,29 +83,14 @@ schemeOptionTokens(SchemeKind kind, const SweepOptions &opts)
 std::string
 SweepSession::cacheConfigKey(SchemeKind kind, const SweepOptions &opts)
 {
-    // Only result-affecting options, and of those only the ones the
-    // scheme reads: a gshare sweep must not miss because an unused
-    // BHT knob changed.  threads/simd/fusedThreads are
-    // bit-identical execution knobs (pinned by the differential
-    // tests) and are deliberately absent; segments joins the key only
-    // when it resolves speculative (see schemeOptionTokens).
-    std::vector<std::string> tokens = schemeOptionTokens(kind, opts);
-    tokens.push_back("min=" + std::to_string(opts.minTotalBits));
-    tokens.push_back("max=" + std::to_string(opts.maxTotalBits));
-    return Config::parseTokens(tokens).canonicalKey();
+    return optionKey(kind, opts, true);
 }
 
 std::string
 SweepSession::batchGroupKey(const SweepRequest &request)
 {
-    std::string key = request.trace.hex();
-    key += "|";
-    key += schemeKindName(request.kind);
-    key += "|";
-    key += Config::parseTokens(
-               schemeOptionTokens(request.kind, request.options))
-               .canonicalKey();
-    return key;
+    return request.trace.hex() + "|" + schemeKindName(request.kind) +
+           "|" + optionKey(request.kind, request.options, false);
 }
 
 CacheKey
@@ -171,47 +127,7 @@ SweepSession::prepared(const TraceHash &trace)
 Result<SweepResponse>
 SweepSession::sweep(const SweepRequest &request)
 {
-    const auto start = std::chrono::steady_clock::now();
-    const CacheKey key = cacheKey(request);
-
-    if (!request.bypassCache) {
-        bool from_disk = false;
-        std::optional<CachedSweep> hit =
-            cache_.lookup(key, &from_disk);
-        if (hit) {
-            // Rehydrate: cached surfaces carry their full names, so
-            // the hit is byte-identical to the original result.
-            // Kernel telemetry stays zeroed -- nothing executed.
-            SweepResponse response(SweepResult("", ""));
-            response.result.misprediction = hit->misprediction;
-            response.result.aliasing = hit->aliasing;
-            response.result.harmless = hit->harmless;
-            response.result.bhtMissRate = hit->bhtMissRate;
-            response.cacheHit = true;
-            response.diskHit = from_disk;
-            response.seconds = secondsSince(start);
-            return response;
-        }
-    }
-
-    Result<std::shared_ptr<const PreparedTrace>> prep =
-        prepared(request.trace);
-    if (!prep.ok())
-        return prep.error();
-
-    SweepResponse response(
-        sweepScheme(*prep.value(), request.kind, request.options));
-    if (!request.bypassCache) {
-        CachedSweep payload{response.result.misprediction,
-                            response.result.aliasing,
-                            response.result.harmless,
-                            response.result.bhtMissRate};
-        // Disk-store failures are counted in cache().stats() but do
-        // not fail the sweep: the result in hand is correct.
-        static_cast<void>(cache_.store(key, payload));
-    }
-    response.seconds = secondsSince(start);
-    return response;
+    return std::move(sweepBatch({request}).front());
 }
 
 namespace {
@@ -252,6 +168,9 @@ SweepSession::sweepBatch(const std::vector<SweepRequest> &requests,
             std::optional<CachedSweep> hit =
                 cache_.lookup(cacheKey(req), &from_disk);
             if (hit) {
+                // Rehydrate: cached surfaces carry their full names,
+                // so the hit is byte-identical to the original result.
+                // Kernel telemetry stays zeroed -- nothing executed.
                 SweepResponse response(SweepResult("", ""));
                 response.result.misprediction = hit->misprediction;
                 response.result.aliasing = hit->aliasing;
@@ -315,6 +234,8 @@ SweepSession::sweepBatch(const std::vector<SweepRequest> &requests,
                 CachedSweep payload{sliced.misprediction,
                                     sliced.aliasing, sliced.harmless,
                                     sliced.bhtMissRate};
+                // Disk-store failures are counted in cache().stats()
+                // but do not fail the sweep: the result is correct.
                 static_cast<void>(
                     cache_.store(cacheKey(req), payload));
             }

@@ -24,8 +24,9 @@
  * Caching discipline:
  *
  *  - The cache key is (trace key, scheme, canonical config key,
- *    kEngineVersion).  cacheConfigKey() serializes exactly the options
- *    that affect *results*: tier range, aliasing tracking, the
+ *    kEngineVersion).  cacheConfigKey() serializes, as the option
+ *    table (sweepOptionFields) declares, exactly the options that
+ *    affect *results*: tier range, aliasing tracking, the
  *    per-scheme parameters the scheme actually reads, and -- only when
  *    a request resolves speculative (resolveSegments > 1) -- the
  *    segment count and warm-up width, so speculative and exact results
@@ -180,9 +181,10 @@ class SweepSession
 
     /**
      * Serve one sweep request: result cache, then replay through the
-     * plan/fuse/SIMD machinery.  Results are bit-identical to a
-     * direct sweepScheme() call with the same options.  Errors when
-     * the trace key is not interned (and the cache cannot answer).
+     * plan/fuse/SIMD machinery -- a sweepBatch() of one.  Results are
+     * bit-identical to a direct sweepScheme() call with the same
+     * options.  Errors when the trace key is not interned (and the
+     * cache cannot answer).
      */
     Result<SweepResponse> sweep(const SweepRequest &request);
 

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
+#include <variant>
 
 #include "service/json.hh"
 #include "service/protocol.hh"
@@ -241,6 +244,117 @@ TEST(Protocol, ParsesSegmentParallelOptions)
     };
     for (const char *text : bad)
         EXPECT_FALSE(parseLine(text).ok()) << text;
+}
+
+namespace {
+
+/**
+ * Parse a sweep request whose options set @p key to @p value, over a
+ * tier range wide enough for any tier value: min_bits 1 and max_bits
+ * at the server limit, unless @p key is one of them.
+ */
+Result<Request>
+parseWithOption(const std::string &key, JsonValue value)
+{
+    JsonValue::Object options;
+    options.emplace(key, std::move(value));
+    options.emplace("min_bits", JsonValue(std::int64_t{1}));
+    options.emplace("max_bits", JsonValue(static_cast<std::int64_t>(
+                                    ProtocolLimits{}.maxTotalBits)));
+    JsonValue::Object trace;
+    trace.emplace("profile", JsonValue("gcc"));
+    JsonValue::Object root;
+    root.emplace("op", JsonValue("sweep"));
+    root.emplace("trace", JsonValue(std::move(trace)));
+    root.emplace("scheme", JsonValue("gshare"));
+    root.emplace("options", JsonValue(std::move(options)));
+    return parseRequest(JsonValue(std::move(root)));
+}
+
+bool
+accepts(const std::string &key, JsonValue value)
+{
+    return parseWithOption(key, std::move(value)).ok();
+}
+
+JsonValue
+intList(std::initializer_list<std::int64_t> values)
+{
+    JsonValue::Array array;
+    for (std::int64_t v : values)
+        array.emplace_back(v);
+    return JsonValue(std::move(array));
+}
+
+} // namespace
+
+TEST(Protocol, EveryOptionRowParsesItsRangeAndNothingBeyond)
+{
+    // Walks the option table: every protocol key accepts both ends
+    // of its range, landing in its SweepOptions member, and rejects
+    // one step past either end with an error naming the field.  A new
+    // row is covered without editing this test.
+    const ProtocolLimits limits;
+    std::size_t walked = 0;
+    for (const OptionField &f : sweepOptionFields()) {
+        if (!f.protocolKey)
+            continue;
+        ++walked;
+        const std::string key = f.protocolKey;
+        if (std::holds_alternative<bool SweepOptions::*>(f.member)) {
+            for (bool b : {false, true}) {
+                Result<Request> r = parseWithOption(key, JsonValue(b));
+                ASSERT_TRUE(r.ok()) << key;
+                EXPECT_EQ(f.get(r.value().options).front(),
+                          b ? 1u : 0u);
+            }
+            EXPECT_FALSE(accepts(key, JsonValue(std::int64_t{1})));
+            continue;
+        }
+        const bool is_list =
+            std::holds_alternative<std::vector<unsigned> SweepOptions::*>(
+                f.member);
+        const auto wire = [&](std::uint64_t v) {
+            const auto n = static_cast<std::int64_t>(v);
+            return is_list ? intList({n}) : JsonValue(n);
+        };
+        // The server's limit caps the tier range below the table's.
+        const std::uint64_t min = f.min;
+        const std::uint64_t max =
+            f.scope == KeyScope::TierRange
+                ? std::min<std::uint64_t>(f.max, limits.maxTotalBits)
+                : f.max;
+        for (std::uint64_t v : {min, max}) {
+            Result<Request> r = parseWithOption(key, wire(v));
+            ASSERT_TRUE(r.ok())
+                << key << "=" << v << ": " << r.error().message();
+            EXPECT_EQ(f.get(r.value().options).front(), v) << key;
+        }
+        if (min > 0) {
+            EXPECT_FALSE(accepts(key, wire(min - 1))) << key;
+        }
+        Result<Request> over = parseWithOption(key, wire(max + 1));
+        ASSERT_FALSE(over.ok()) << key << "=" << max + 1;
+        EXPECT_NE(over.error().message().find(key), std::string::npos)
+            << over.error().message();
+
+        if (f.powerOfTwo) {
+            EXPECT_FALSE(accepts(key, JsonValue(std::int64_t{3})));
+        }
+        if (is_list) {
+            const auto lo = static_cast<std::int64_t>(min);
+            EXPECT_FALSE(accepts(key, intList({})));
+            EXPECT_FALSE(accepts(key, intList({lo + 1, lo})));
+            EXPECT_FALSE(accepts(key, intList({lo, lo})));
+            EXPECT_TRUE(accepts(key, intList({lo, lo + 1, lo + 2, lo + 3,
+                                              lo + 4, lo + 5, lo + 6,
+                                              lo + 7})));
+            EXPECT_FALSE(accepts(key, intList({lo, lo + 1, lo + 2,
+                                               lo + 3, lo + 4, lo + 5,
+                                               lo + 6, lo + 7, lo + 8})));
+        }
+    }
+    EXPECT_EQ(walked, 12u);
 }
 
 TEST(Protocol, ParsesTraceForms)

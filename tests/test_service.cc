@@ -19,7 +19,9 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <thread>
+#include <type_traits>
 
 #include "service/client.hh"
 #include "service/server.hh"
@@ -331,6 +333,23 @@ TEST(Service, StatsAndCatalogReportState)
     EXPECT_GE(kernel->find("shards_per_group")->asDouble(), 1.0);
     ASSERT_NE(kernel->find("worker_utilization"), nullptr);
     ASSERT_NE(kernel->find("warmup_branches"), nullptr);
+    EXPECT_EQ(kernel->find("fallback_jobs")->asInt(), 0);
+    // The object carries every telemetry-table entry: the target as a
+    // string, counters as integers, seconds and ratios as reals.
+    std::size_t fields = 0;
+    KernelTelemetry::forEachField([&](const char *key, auto field, auto) {
+        ++fields;
+        const JsonValue *v = kernel->find(key);
+        ASSERT_NE(v, nullptr) << key;
+        using T = decltype(field);
+        EXPECT_EQ(v->isString(),
+                  (std::is_same_v<T, SimdTarget KernelTelemetry::*>))
+            << key;
+        EXPECT_EQ(v->isInt(),
+                  (std::is_same_v<T, std::uint64_t KernelTelemetry::*>))
+            << key;
+    });
+    EXPECT_EQ(kernel->object().size(), fields);
 
     JsonValue catalog = handle(server, "{\"op\":\"catalog\"}");
     ASSERT_TRUE(isOk(catalog));
@@ -610,4 +629,95 @@ TEST(Service, AcceptFailureEndsServeSocketWithAnError)
     ASSERT_TRUE(WIFEXITED(wstatus));
     EXPECT_EQ(WEXITSTATUS(wstatus), 0);
     EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+namespace {
+
+/** This process's virtual size from /proc/self/status, in kB. */
+std::uint64_t
+vmSizeKb()
+{
+    std::FILE *status = std::fopen("/proc/self/status", "r");
+    if (!status)
+        return 0;
+    char line[256];
+    std::uint64_t kb = 0;
+    while (std::fgets(line, sizeof(line), status)) {
+        if (std::strncmp(line, "VmSize:", 7) == 0) {
+            kb = std::strtoull(line + 7, nullptr, 10);
+            break;
+        }
+    }
+    std::fclose(status);
+    return kb;
+}
+
+} // namespace
+
+TEST(Service, FinishedConnectionWorkersAreReaped)
+{
+    // A daemon serves connections for its whole life.  A finished
+    // connection's worker thread must be joined while serving, not at
+    // shutdown: each unjoined thread keeps its stack mapped, so 256
+    // short-lived clients would grow the address space by gigabytes.
+    const std::string path = ::testing::TempDir() + "service_reap_" +
+                             std::to_string(::getpid()) + ".sock";
+    std::filesystem::remove(path);
+    SweepServer server;
+    Status served;
+    std::thread daemon([&] { served = server.serveSocket(path); });
+    // However the test exits, ask for shutdown and join the daemon.
+    struct Stop
+    {
+        std::function<void()> run;
+        ~Stop() { run(); }
+    } stop{[&] {
+        if (Result<LineChannel> c = connectUnixSocket(path); c.ok())
+            static_cast<void>(
+                roundTrip(c.value(), "{\"op\":\"shutdown\"}"));
+        daemon.join();
+        EXPECT_TRUE(served.ok());
+    }};
+
+    Result<LineChannel> first = BPSIM_ERROR("socket never appeared");
+    for (int i = 0; i < 200 && !first.ok(); ++i) {
+        if (std::filesystem::exists(path))
+            first = connectUnixSocket(path);
+        if (!first.ok())
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_TRUE(first.ok()) << first.error().message();
+    first.value().close();
+
+    const auto cycle = [&] {
+        Result<LineChannel> channel = connectUnixSocket(path);
+        ASSERT_TRUE(channel.ok()) << channel.error().message();
+        Result<std::string> pong =
+            roundTrip(channel.value(), "{\"op\":\"ping\"}");
+        ASSERT_TRUE(pong.ok()) << pong.error().message();
+        channel.value().close();
+    };
+    // Warm up with a burst of concurrent clients first: the allocator
+    // and the thread-stack cache grow with the number of *live*
+    // threads, and that one-off growth is not what is measured here.
+    {
+        std::vector<LineChannel> burst;
+        for (int i = 0; i < 8; ++i) {
+            Result<LineChannel> channel = connectUnixSocket(path);
+            ASSERT_TRUE(channel.ok()) << channel.error().message();
+            ASSERT_TRUE(
+                roundTrip(channel.value(), "{\"op\":\"ping\"}").ok());
+            burst.push_back(std::move(channel).value());
+        }
+    }
+    for (int i = 0; i < 8; ++i)
+        cycle();
+    const std::uint64_t before = vmSizeKb();
+    ASSERT_GT(before, 0u);
+    for (int i = 0; i < 256; ++i)
+        cycle();
+    const std::uint64_t after = vmSizeKb();
+    EXPECT_LT(after, before + 64 * 1024)
+        << "VmSize grew from " << before << " kB to " << after
+        << " kB over 256 connections";
 }

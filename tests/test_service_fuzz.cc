@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <variant>
+
 #include "service/server.hh"
 #include "verify/fault_injection.hh"
 
@@ -95,6 +98,60 @@ TEST(ServiceFuzz, MutatedZooRequestsAlwaysGetStructuredResponses)
     const JsonValue *ok = after.value().find("ok");
     ASSERT_NE(ok, nullptr);
     EXPECT_TRUE(ok->asBool());
+}
+
+/**
+ * A sweep request that sets every protocol option key of the option
+ * table, each to its SweepOptions default clamped into its table
+ * range, so a new row is fuzzed without editing this file.
+ */
+std::string
+everyOptionSweep()
+{
+    const SweepOptions defaults;
+    JsonValue::Object options;
+    for (const OptionField &f : sweepOptionFields()) {
+        if (!f.protocolKey)
+            continue;
+        using O = SweepOptions;
+        const std::vector<std::uint64_t> values = f.get(defaults);
+        JsonValue::Array wire;
+        for (std::uint64_t v : values)
+            wire.emplace_back(
+                static_cast<std::int64_t>(std::clamp(v, f.min, f.max)));
+        if (std::holds_alternative<bool O::*>(f.member))
+            options.emplace(f.protocolKey, JsonValue(values[0] != 0));
+        else if (std::holds_alternative<std::vector<unsigned> O::*>(
+                     f.member))
+            options.emplace(f.protocolKey, JsonValue(std::move(wire)));
+        else
+            options.emplace(f.protocolKey, std::move(wire[0]));
+    }
+    JsonValue::Object trace;
+    trace.emplace("profile", JsonValue("compress"));
+    trace.emplace("branches", JsonValue(std::int64_t{20000}));
+    JsonValue::Object root;
+    root.emplace("op", JsonValue("sweep"));
+    root.emplace("id", JsonValue("fuzz-every-option"));
+    root.emplace("trace", JsonValue(std::move(trace)));
+    root.emplace("scheme", JsonValue("gshare"));
+    root.emplace("options", JsonValue(std::move(options)));
+    return JsonValue(std::move(root)).render();
+}
+
+TEST(ServiceFuzz, MutatedRequestsSettingEveryOptionGetStructuredResponses)
+{
+    SweepServer server;
+    verify::RequestFuzzReport report = verify::fuzzRequestLines(
+        server, everyOptionSweep(), 0x0b7, 160);
+    EXPECT_TRUE(report.passed()) << [&] {
+        std::string all;
+        for (const std::string &violation : report.violations)
+            all += violation + "\n";
+        return all;
+    }();
+    EXPECT_GT(report.mustErrorLines, 0u);
+    EXPECT_EQ(report.structuredErrors, report.mustErrorLines);
 }
 
 TEST(ServiceFuzz, CampaignIsSeedSensitiveAndRepeatable)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "predictor/factory.hh"
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
@@ -618,6 +621,56 @@ TEST(Sweep, KernelTelemetryDescribesFusedExecution)
     EXPECT_EQ(ra.kernel.aliasLanes, jobs);
     EXPECT_EQ(ra.kernel.laneBatches, 0u);
     EXPECT_DOUBLE_EQ(ra.kernel.hotBytesPerBranch(), 17.0);
+}
+
+TEST(Sweep, KernelTelemetryTableCoversEveryMember)
+{
+    // Every member is set to a distinct value, so a member the
+    // telemetry table forgets shows up as an unmerged counter here.
+    KernelTelemetry a;
+    a.target = SimdTarget::Scalar;
+    std::uint64_t next = 1;
+    for (std::uint64_t *m :
+         {&a.fusedGroups, &a.fallbackJobs, &a.lanes, &a.wideLanes,
+          &a.aliasLanes, &a.laneBatches, &a.blocksReplayed, &a.segments,
+          &a.laneShards, &a.shardTasks, &a.warmupBranches,
+          &a.modelGroups, &a.modelLanes, &a.modelBatches,
+          &a.shardWorkers})
+        *m = next++;
+    a.busySeconds = 0.5;
+    a.spanSeconds = 0.25;
+    KernelTelemetry b = a;
+    b.target = SimdTarget::SSE2;
+    b.shardWorkers = 3;
+
+    KernelTelemetry sum = a;
+    sum.merge(b);
+    EXPECT_EQ(sum.target, SimdTarget::SSE2); // last wins
+    EXPECT_EQ(sum.shardWorkers, 15u);        // max of 15 and 3
+    EXPECT_EQ(sum.busySeconds, 1.0);
+    EXPECT_EQ(sum.spanSeconds, 0.5);
+    const std::uint64_t KernelTelemetry::*summed[] = {
+        &KernelTelemetry::fusedGroups,    &KernelTelemetry::fallbackJobs,
+        &KernelTelemetry::lanes,          &KernelTelemetry::wideLanes,
+        &KernelTelemetry::aliasLanes,     &KernelTelemetry::laneBatches,
+        &KernelTelemetry::blocksReplayed, &KernelTelemetry::segments,
+        &KernelTelemetry::laneShards,     &KernelTelemetry::shardTasks,
+        &KernelTelemetry::warmupBranches, &KernelTelemetry::modelGroups,
+        &KernelTelemetry::modelLanes,     &KernelTelemetry::modelBatches,
+    };
+    for (auto m : summed)
+        EXPECT_EQ(sum.*m, 2 * (a.*m));
+
+    // The table: 18 members then 6 derived ratios, each key once.
+    std::set<std::string> keys;
+    std::size_t members = 0;
+    KernelTelemetry::forEachField(
+        [&](const char *key, auto, KernelTelemetry::Merge rule) {
+            EXPECT_TRUE(keys.insert(key).second) << key;
+            members += rule != KernelTelemetry::Merge::Derived;
+        });
+    EXPECT_EQ(keys.size(), 24u);
+    EXPECT_EQ(members, 18u);
 }
 
 TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 
 #include "sim/experiment.hh"
 #include "sim/sweep_session.hh"
@@ -87,12 +89,15 @@ TEST(SweepSession, SweepMatchesDirectSweepScheme)
         handle.value().hash, SchemeKind::Gshare, smallSweep()});
     ASSERT_TRUE(resp.ok());
     EXPECT_FALSE(resp.value().cacheHit);
+    // A single sweep is a batch of one: never coalesced.
+    EXPECT_FALSE(resp.value().coalesced);
 
     PreparedTrace direct(
         generateProfileTrace(kProfile, kBranches));
     SweepResult expected =
         sweepScheme(direct, SchemeKind::Gshare, smallSweep());
     expectResultIdentical(resp.value().result, expected);
+    EXPECT_EQ(resp.value().result.kernel.lanes, expected.kernel.lanes);
 }
 
 TEST(SweepSession, CacheHitIsBitIdenticalToBypass)
@@ -408,6 +413,92 @@ TEST(SweepSession, ZooConfigKeysCoverSchemeParameters)
     // Classic schemes ignore the zoo knobs: no false key splits.
     EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, a),
               SweepSession::cacheConfigKey(SchemeKind::Gshare, tag));
+}
+
+TEST(SweepSession, CacheConfigKeysAreStable)
+{
+    // Existing .bpc entries are addressed by these exact strings: a
+    // refactor of how keys are built must reproduce them byte for
+    // byte, or every warm cache silently goes cold.
+    ::unsetenv("BPSIM_SEGMENTS");
+    const SweepOptions defaults;
+    const std::pair<SchemeKind, const char *> expected[] = {
+        {SchemeKind::AddressIndexed, "alias=1;max=15;min=4"},
+        {SchemeKind::GAg, "alias=1;max=15;min=4"},
+        {SchemeKind::GAs, "alias=1;max=15;min=4"},
+        {SchemeKind::Gshare, "alias=1;max=15;min=4"},
+        {SchemeKind::Path, "alias=1;max=15;min=4;pathbits=2"},
+        {SchemeKind::PAsPerfect, "alias=1;max=15;min=4"},
+        {SchemeKind::PAsFinite,
+         "alias=1;assoc=4;bht=1024;max=15;min=4;reset=0"},
+        {SchemeKind::Tage,
+         "alias=1;histories=4,8,16,32;max=15;min=4;tagbits=8"},
+        {SchemeKind::Perceptron, "alias=1;max=15;min=4;ptables=4"},
+    };
+    for (const auto &[kind, key] : expected)
+        EXPECT_EQ(SweepSession::cacheConfigKey(kind, defaults), key)
+            << schemeKindName(kind);
+
+    SweepOptions spec;
+    spec.segments = 4;
+    EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, spec),
+              "alias=1;max=15;min=4;segments=4;warmup=2048");
+    const SweepRequest request{TraceHash{3, 4}, SchemeKind::PAsFinite,
+                               defaults};
+    // The coalescing key is the config key minus the tier range.
+    EXPECT_EQ(SweepSession::batchGroupKey(request),
+              "00000000000000030000000000000004|PAs(bht)|"
+              "alias=1;assoc=4;bht=1024;reset=0");
+}
+
+TEST(SweepSession, CacheKeysCoverEveryResultAffectingOption)
+{
+    // Walks the option table for every scheme.  The execution-only
+    // set is spelled out here, independently of the table, so a row
+    // that loses its key token fails instead of passing as "execution
+    // only" -- the class of collision where a result-affecting knob
+    // missing from the key serves the wrong figure.
+    ::unsetenv("BPSIM_SEGMENTS");
+    using Member = decltype(OptionField::member);
+    const Member execution_only[] = {&SweepOptions::threads,
+                                     &SweepOptions::simd,
+                                     &SweepOptions::fusedThreads};
+    const Member tier_range[] = {&SweepOptions::minTotalBits,
+                                 &SweepOptions::maxTotalBits};
+    const auto contains = [](const auto &set, const Member &m) {
+        return std::find(std::begin(set), std::end(set), m) !=
+               std::end(set);
+    };
+    // A speculative base, so the segment fields are read at all.
+    SweepOptions base;
+    base.segments = 4;
+    EXPECT_EQ(sweepOptionFields().size(), 15u);
+    for (SchemeKind kind : kSchemeKinds) {
+        const SweepRequest request{TraceHash{1, 2}, kind, base};
+        for (std::size_t row = 0; row < sweepOptionFields().size();
+             ++row) {
+            const OptionField &f = sweepOptionFields()[row];
+            // Flipping the low bit changes any value, bools included.
+            SweepRequest changed = request;
+            std::vector<std::uint64_t> values = f.get(base);
+            values.back() ^= 1;
+            f.set(changed.options, values);
+            const bool keyed =
+                !contains(execution_only, f.member) && f.readBy(kind);
+            const std::string what = std::string(schemeKindName(kind)) +
+                                     ", option row " +
+                                     std::to_string(row);
+            EXPECT_EQ(SweepSession::cacheConfigKey(kind, base) !=
+                          SweepSession::cacheConfigKey(kind,
+                                                       changed.options),
+                      keyed)
+                << what;
+            EXPECT_EQ(SweepSession::batchGroupKey(request) !=
+                          SweepSession::batchGroupKey(changed),
+                      keyed && !contains(tier_range, f.member))
+                << what;
+        }
+    }
 }
 
 TEST(SweepSession, PointRejectsDegenerateZooGeometry)
