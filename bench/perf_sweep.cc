@@ -7,8 +7,8 @@
  *                 dispatch target T this host supports (scalar
  *                 always; sse2/avx2/avx512 when the CPU has them);
  *                 fused[scalar] is the baseline every speedup divides
- *   fused+threads fused kernel, auto dispatch, group-parallel
- *                 execution (threads=0, one executor per hw thread)
+ *   threads       fused kernel, auto dispatch, lane-sharded task grid
+ *                 (threads=0, one executor per hw thread)
  *   alias         fused kernel with alias lanes (trackAliasing on,
  *                 threads=1, auto dispatch): the Figure 5 path
  *
@@ -29,7 +29,7 @@
  * to a dispatch or fusion change without rerunning under a profiler.
  *
  * A within-group scaling phase then runs one representative scheme
- * (GAs) through the full fused_threads x segments knob matrix
+ * (GAs) through the full threads x segments knob matrix
  * (1/2/4/8 on each axis).  Lane-sharded cells (segments=1) are
  * asserted bit-identical to the exact surface; speculative cells
  * (segments>1) report their max per-point epsilon instead.  The cell
@@ -89,7 +89,8 @@ struct SchemeResult
     /** One fused-mode measurement per supported dispatch target;
      *  fused[0] (scalar) is the baseline. */
     std::vector<ModeResult> fused;
-    ModeResult fusedThreads;
+    /** threads=0: the lane-sharded grid on every hardware thread. */
+    ModeResult threaded;
     /** Alias lanes on (2-bit schemes only). */
     ModeResult alias;
     /** Telemetry from the widest-target single-thread fused run. */
@@ -236,7 +237,7 @@ maxSurfaceDelta(const Surface &expect, const Surface &got)
 /** One cell of the within-group scaling matrix. */
 struct MatrixCell
 {
-    unsigned fusedThreads = 1;
+    unsigned threads = 1;
     unsigned segments = 1;
     double seconds = 0.0;
     double speedup = 0.0;
@@ -258,7 +259,7 @@ geomean(const std::vector<double> &values)
 }
 
 /**
- * Time @p kind under fused[T] for every target and fused+threads,
+ * Time @p kind under fused[T] for every target and threads,
  * best of @p reps with the modes interleaved within each rep (so slow
  * host drift hits every mode alike), every surface checked bit-
  * identical to fused[scalar].  @p base fixes everything but the
@@ -299,20 +300,20 @@ timeScheme(SweepSession &session, const TraceHash &hash,
         }
 
         Surface threaded_surface("");
-        const double ft =
+        const double th =
             runOnce(session, hash, kind, threaded_opts,
                     rep == 0 ? &threaded_surface : nullptr);
         if (rep == 0)
             checkSurface(kind, expect, threaded_surface);
-        r.fusedThreads.seconds =
-            rep == 0 ? ft : std::min(r.fusedThreads.seconds, ft);
+        r.threaded.seconds =
+            rep == 0 ? th : std::min(r.threaded.seconds, th);
     }
 
     const double work =
         static_cast<double>(branches) * static_cast<double>(r.configs);
     for (ModeResult &m : r.fused)
         m.throughput = work / m.seconds;
-    r.fusedThreads.throughput = work / r.fusedThreads.seconds;
+    r.threaded.throughput = work / r.threaded.seconds;
     return r;
 }
 
@@ -335,7 +336,7 @@ main(int argc, char **argv)
 
     const std::vector<SimdTarget> targets = supportedSimdTargets();
 
-    banner("Sweep throughput: fused[simd] vs fused+threads vs alias");
+    banner("Sweep throughput: fused[simd] vs threads vs alias");
     std::printf("profile %s, %llu conditional branches, tiers 2^4.."
                 "2^15, best of %u rep%s, %u hardware thread%s, "
                 "dispatch targets:",
@@ -366,7 +367,7 @@ main(int argc, char **argv)
     std::printf("%-10s %7s |", "scheme", "configs");
     for (SimdTarget t : targets)
         std::printf(" %12s %6s |", simdTargetName(t), "spd");
-    std::printf(" %12s %6s | %12s %6s\n", "fused+t bc/s", "spd",
+    std::printf(" %12s %6s | %12s %6s\n", "threads bc/s", "spd",
                 "alias bc/s", "spd");
     for (SchemeKind kind : kinds) {
         Surface expect("");
@@ -398,7 +399,7 @@ main(int argc, char **argv)
             std::printf(" %12.3e %5.2fx |", m.throughput,
                         r.speedup(m));
         std::printf(" %12.3e %5.2fx | %12.3e %5.2fx\n",
-                    r.fusedThreads.throughput, r.speedup(r.fusedThreads),
+                    r.threaded.throughput, r.speedup(r.threaded),
                     r.alias.throughput, r.speedup(r.alias));
     }
 
@@ -413,7 +414,7 @@ main(int argc, char **argv)
     }
     std::vector<double> threaded_speedups, alias_speedups;
     for (const SchemeResult &r : results) {
-        threaded_speedups.push_back(r.speedup(r.fusedThreads));
+        threaded_speedups.push_back(r.speedup(r.threaded));
         alias_speedups.push_back(r.speedup(r.alias));
     }
     const double threaded_geo = geomean(threaded_speedups);
@@ -423,16 +424,16 @@ main(int argc, char **argv)
     for (std::size_t t = 1; t < targets.size(); ++t)
         std::printf(" fused[%s] %.2fx", simdTargetName(targets[t]),
                     vs_scalar_geo[t]);
-    std::printf(" fused+threads %.2fx alias %.2fx\n", threaded_geo,
+    std::printf(" threads %.2fx alias %.2fx\n", threaded_geo,
                 alias_geo);
     std::printf("(all misprediction surfaces verified bit-identical "
                 "across modes and targets)\n");
 
-    // ---- Within-group scaling: fused_threads x segments matrix ---
+    // ---- Within-group scaling: threads x segments matrix ---------
     //
-    // One representative scheme (GAs, the paper's centerpiece) run
-    // through every combination of the two within-group knobs.  Lane
-    // sharding (fused_threads) must stay bit-identical at every cell;
+    // One representative scheme (GAs, the paper's centerpiece: one
+    // group) run through every combination of the two grid knobs.
+    // Lane sharding (threads) must stay bit-identical at every cell;
     // speculative segmentation (segments > 1) reports its max
     // per-point epsilon against the exact surface instead.  The full
     // 1/2/4/8 grid always runs -- on hosts with fewer hardware
@@ -443,25 +444,25 @@ main(int argc, char **argv)
     const unsigned matrix_levels[] = {1, 2, 4, 8};
     SweepOptions matrix_base = fused_opts;
 
-    std::printf("\n==== Within-group scaling: %s, fused_threads x "
+    std::printf("\n==== Within-group scaling: %s, threads x "
                 "segments (warmup %u) ====\n",
                 schemeKindName(matrix_kind),
                 matrix_base.segmentWarmup);
     Surface matrix_exact("");
     std::vector<MatrixCell> matrix;
     double matrix_base_s = 0.0;
-    std::printf("%4s |", "ft\\K");
+    std::printf("%4s |", "T\\K");
     for (unsigned segs : matrix_levels)
         std::printf("  %10s=%u |", "segments", segs);
     std::printf("\n");
-    for (unsigned ft : matrix_levels) {
-        std::printf("%4u |", ft);
+    for (unsigned threads : matrix_levels) {
+        std::printf("%4u |", threads);
         for (unsigned segs : matrix_levels) {
             MatrixCell cell;
-            cell.fusedThreads = ft;
+            cell.threads = threads;
             cell.segments = segs;
             SweepOptions opts = matrix_base;
-            opts.fusedThreads = ft;
+            opts.threads = threads;
             opts.segments = segs;
             Surface surface("");
             for (unsigned rep = 0; rep < reps; ++rep) {
@@ -472,7 +473,7 @@ main(int argc, char **argv)
                 cell.seconds =
                     rep == 0 ? s : std::min(cell.seconds, s);
             }
-            if (ft == 1 && segs == 1) {
+            if (threads == 1 && segs == 1) {
                 matrix_exact = surface;
                 matrix_base_s = cell.seconds;
             }
@@ -496,12 +497,13 @@ main(int argc, char **argv)
 
     // ---- Zoo phase: batched model-lane replay per target --------
     //
-    // The batched engine (runModelBatch) decodes each 2048-branch
+    // The batched engine (replayModelLanes) decodes each 2048-branch
     // block once, shares the TAGE tag/index folds across lanes and
     // steps perceptron lanes through the SIMD dot-product kernel.
-    // This phase times it per dispatch target and with group
-    // threads on a fig_tage_aliasing-sized surface (tiers spanning the
-    // fig's entry 4..8 x base 6..10 budgets), bit-identity asserted.
+    // This phase times it per dispatch target and lane-sharded
+    // (threads=0) on a fig_tage_aliasing-sized surface (tiers
+    // spanning the fig's entry 4..8 x base 6..10 budgets),
+    // bit-identity asserted.
     const SchemeKind zoo_kinds[] = {SchemeKind::Tage,
                                     SchemeKind::Perceptron};
     SweepOptions zoo_opts = fused_opts;
@@ -526,8 +528,8 @@ main(int argc, char **argv)
         for (const ModeResult &m : r.fused)
             std::printf(" %12.3e %5.2fx |", m.throughput,
                         r.speedup(m));
-        std::printf(" %12.3e %5.2fx\n", r.fusedThreads.throughput,
-                    r.speedup(r.fusedThreads));
+        std::printf(" %12.3e %5.2fx\n", r.threaded.throughput,
+                    r.speedup(r.threaded));
     }
     std::printf("(all zoo surfaces verified bit-identical across "
                 "modes and targets)\n");
@@ -588,7 +590,7 @@ main(int argc, char **argv)
                            "%zu,\n",
                      schemeKindName(r.kind), r.configs);
         write_targets("fused", r);
-        write_mode("fused_threads", r, r.fusedThreads, ",");
+        write_mode("threads", r, r.threaded, ",");
         write_mode("alias", r, r.alias, ",");
         write_kernel("kernel", r.kernel, ",");
         write_kernel("alias_kernel", r.aliasKernel, "}");
@@ -607,10 +609,10 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < matrix.size(); ++i) {
         const MatrixCell &cell = matrix[i];
         std::fprintf(json,
-                     "    {\"fused_threads\": %u, \"segments\": %u, "
+                     "    {\"threads\": %u, \"segments\": %u, "
                      "\"seconds\": %.6f, \"speedup\": %.3f, "
                      "\"epsilon\": %.3e,\n",
-                     cell.fusedThreads, cell.segments, cell.seconds,
+                     cell.threads, cell.segments, cell.seconds,
                      cell.speedup, cell.epsilon);
         write_kernel("kernel", cell.kernel,
                      i + 1 < matrix.size() ? "}," : "}");
@@ -627,7 +629,7 @@ main(int argc, char **argv)
                      "    {\"scheme\": \"%s\", \"configs\": %zu,\n",
                      schemeKindName(r.kind), r.configs);
         write_targets("batched", r);
-        write_mode("batched_threads", r, r.fusedThreads, ",");
+        write_mode("batched_threads", r, r.threaded, ",");
         write_kernel("kernel", r.kernel,
                      i + 1 < zoo_results.size() ? "}," : "}");
     }
@@ -639,7 +641,7 @@ main(int argc, char **argv)
                      t + 1 < targets.size() ? ", " : "");
     std::fprintf(json, "},\n");
     std::fprintf(json,
-                 "  \"geomean_fused_threads_speedup\": %.3f,\n"
+                 "  \"geomean_threads_speedup\": %.3f,\n"
                  "  \"geomean_alias_speedup\": %.3f\n}\n",
                  threaded_geo, alias_geo);
     std::fclose(json);

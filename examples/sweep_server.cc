@@ -19,7 +19,7 @@
  *   cache=DIR          persistent .bpc result cache (shared safely
  *                      across processes; flock + atomic rename)
  *   cache_budget=N     on-disk LRU budget in bytes (0 = unbounded)
- *   threads=N          replay threads per sweep (0 = all cores)
+ *   threads=N          lane shards per sweep group (0 = all cores)
  *   socket=PATH        serve a unix socket instead of stdin/stdout
  *   max_bits=N         largest tier a request may ask for
  */

@@ -109,8 +109,9 @@ struct ServerOptions
     std::string cacheDir;
     /** On-disk cache LRU budget in bytes (0 = unbounded). */
     std::uint64_t cacheBudgetBytes = 0;
-    /** SweepOptions::threads for executed sweeps (0 = one per
-     *  hardware thread, 1 = serial). */
+    /** SweepOptions::threads for executed sweeps, and so their lane
+     *  shards per group (0 = one per hardware thread, 1 = serial);
+     *  requests cannot override it. */
     unsigned threads = 1;
     ProtocolLimits limits;
 };

@@ -5,26 +5,19 @@
  * trace.  This is the engine behind Figures 2-10 and Table 3.
  *
  * Sweeps run in two phases.  The *plan* phase (planSweep) enumerates the
- * configuration space into ConfigJobs, planFusedGroups partitions them
- * into FusedGroups of jobs sharing one first-level input stream, and a
- * StreamCache precomputes every shared immutable input (the path-history
- * stream and the per-row-width BHT streams with their miss rates).  The
- * *execute* phase replays the trace once per GROUP -- all member
- * configurations' packed pattern tables are updated in the same pass,
- * since every split of a tier reads the same per-branch row value and
- * word index -- serially or on the shared ThreadPool, governed by
- * SweepOptions::threads (which now distributes groups, not single
- * jobs).  Results land in per-job ConfigResult slots that are merged
- * into Surfaces in plan order, so results are bit-identical for any
- * grouping and thread count.
+ * configuration space into ConfigJobs, planFusedGroups groups them by
+ * the first-level input stream they share (one group per stream), and
+ * a StreamCache holds every shared immutable input (the path-history
+ * stream and the per-row-width BHT streams with their miss rates).
+ * The *execute* phase (runFusedGroups) runs the groups as one flat
+ * task grid, groups x lane shards x trace segments, on a single
+ * ThreadPool::parallelFor (see DESIGN.md "Segment-parallel replay"):
  *
- * Within one group, two further axes of parallelism exist (see
- * DESIGN.md "Segment-parallel replay"):
- *
- *  - SweepOptions::fusedThreads lane-shards the group's block replay:
- *    each executor owns a disjoint subset of the member lanes with
- *    private packed tables, so any shard count is bit-identical to the
- *    serial fused pass.
+ *  - a task replays a contiguous run of one group's lanes -- all of
+ *    their packed pattern tables updated in the same pass, since every
+ *    split of a tier reads the same per-branch row value and word
+ *    index -- with private tables, so a group's min(lanes, threads)
+ *    lane shards are bit-identical to one serial pass;
  *  - SweepOptions::segments speculatively splits the *trace* into K
  *    ranges replayed concurrently from cold-start counter state behind
  *    a segmentWarmup-branch warm-up window.  K > 1 trades a bounded,
@@ -32,12 +25,16 @@
  *    mode stays the default and speculative results depend only on
  *    (K, warmup), never on shard/worker counts.
  *
+ * Results land in per-job ConfigResult slots that are merged into
+ * Surfaces in plan order, so results are bit-identical for any thread
+ * count.
+ *
  * Aliasing measurement (Figure 5) is a lane capability of the same
  * replay: with SweepOptions::trackAliasing every 2-bit lane also owns
  * an AliasTracker fed the accessing pc and the harmless-pattern bit
  * beside each counter update.  Alias lanes replay lane-major (their
  * 8-byte-per-counter trackers stay cache-hot and one is alive per
- * task), exactly (one segment), and shard like any fused group.  A
+ * task), exactly (one segment), and shard like any other group.  A
  * single configuration (simulateConfig) is a one-lane group on the
  * same path, so every 2-bit and zoo result comes from one engine.
  *
@@ -48,7 +45,6 @@
 #ifndef BPSIM_SIM_SWEEP_HH
 #define BPSIM_SIM_SWEEP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -137,8 +133,11 @@ struct SweepOptions
      */
     unsigned perceptronTables = 4;
     /**
-     * Concurrent trace replays during execution: 0 = one per hardware
-     * thread, 1 = serial.  Results are identical either way.
+     * Executors for the sweep's task grid: each group's lanes are
+     * sharded min(lanes, threads) ways, each shard owning a disjoint
+     * lane subset with private tables (or private zoo models and
+     * weight banks).  0 = one per hardware thread, 1 = serial.
+     * Results are bit-identical for any value.
      */
     unsigned threads = 1;
     /**
@@ -149,19 +148,6 @@ struct SweepOptions
      * differential tests), so this is a performance/debug knob only.
      */
     SimdTarget simd = SimdTarget::Auto;
-    /**
-     * Executors *inside* one fused or model group: the group's member
-     * lanes are sharded across this many concurrent block-replay
-     * workers, each owning a disjoint lane subset with private packed
-     * tables (or private zoo models and weight banks) -- nothing is
-     * shared, so results are bit-identical for any value.
-     * 0 = one per hardware thread, 1 (default) reproduces the serial
-     * fused replay.  Composes with `threads`: groups distribute outer,
-     * shards inner (the pool's nested parallelFor is deadlock-free).
-     * Execution knob only: excluded from result-cache keys
-     * (sweepOptionFields), exactly like `threads` and `simd`.
-     */
-    unsigned fusedThreads = 1;
     /**
      * Speculative segment replay: split the trace into this many
      * ranges, replay them concurrently from cold-start counter state
@@ -254,12 +240,6 @@ struct OptionField
 const std::vector<OptionField> &sweepOptionFields();
 
 /**
- * The within-group shard executor count a sweep actually uses:
- * opts.fusedThreads with 0 resolved to the hardware thread count.
- */
-unsigned resolveFusedThreads(const SweepOptions &opts);
-
-/**
  * The segment count a sweep actually uses: an explicit opts.segments
  * wins; 0 defers to the BPSIM_SEGMENTS environment override (a
  * positive integer; malformed values warn and fall back), else 1.
@@ -327,9 +307,9 @@ struct KernelTelemetry
     std::uint64_t modelBatches = 0;
     /** Summed per-task execution time (busy seconds across workers). */
     double busySeconds = 0.0;
-    /** Summed per-group wall time of the task phase. */
+    /** Wall time of the task grid. */
     double spanSeconds = 0.0;
-    /** Peak concurrent executors any group's task phase could use. */
+    /** Concurrent executors the task grid could use. */
     std::uint64_t shardWorkers = 0;
 
     /** Mean member configurations per fused group. */
@@ -483,17 +463,15 @@ struct FusedGroup
 };
 
 /**
- * Partition planned jobs into fused execution groups.  Jobs sharing a
+ * Partition planned jobs into fused execution groups: jobs sharing a
  * first-level stream (same scheme; same BHT row width for PAsFinite)
- * land in one group, split into at most @p threads chunks so the pool
- * can spread a large group across executors.  Zoo jobs bucket by
- * scheme into model groups under the same chunking.  Aliasing does
- * not change the plan: it is a lane capability.  Every job index
- * appears in exactly one group; results are bit-identical for any
- * grouping.
+ * land in one group, in first-appearance order.  Zoo jobs group by
+ * scheme into model groups.  Aliasing does not change the plan: it is
+ * a lane capability.  Every job index appears in exactly one group,
+ * and every stream has exactly one consuming group.
  */
 std::vector<FusedGroup>
-planFusedGroups(const std::vector<ConfigJob> &jobs, unsigned threads);
+planFusedGroups(const std::vector<ConfigJob> &jobs);
 
 /**
  * Shared immutable first-level inputs for one (trace, options) pair:
@@ -501,14 +479,10 @@ planFusedGroups(const std::vector<ConfigJob> &jobs, unsigned threads);
  * row width, because the 0xC3FF reset prefix differs by width) with
  * their miss rates.
  *
- * prepare() builds every stream a job list needs up front -- in
- * parallel when asked -- and publishes a lock-free lookup table, after
- * which stream() and bhtMissRate() are read-only lookups that take no
- * lock at all (lockedLookups() counts the ones that did, so tests can
- * pin the fused hot path to zero).  Unprepared lookups build lazily
- * under a lock, which keeps one-off simulateConfig() calls cheap to
- * write.  prepare() must not race with concurrent lookups; the sweep
- * engine always finishes it before dispatching executors.
+ * prepare() builds every stream a job list needs up front, in
+ * parallel when asked; lookups the cache cannot answer build lazily.
+ * Every lookup takes the cache's lock, which the sweep grid does once
+ * per group, never per branch.  Thread-safe.
  */
 class StreamCache
 {
@@ -523,25 +497,14 @@ class StreamCache
 
     /**
      * First-level stream feeding a job's row index, or nullptr for the
-     * schemes that index rows straight from the prepared trace.
-     * Lock-free after prepare() covered the (kind, row_bits) pair.
+     * schemes that index rows straight from the prepared trace.  Built
+     * (or rebuilt, after a release) on demand.
      */
     const std::vector<std::uint64_t> *stream(SchemeKind kind,
                                              unsigned row_bits);
 
-    /**
-     * BHT miss rate observed building the width-@p row_bits stream.
-     * Lock-free after prepare() covered the width.
-     */
+    /** BHT miss rate observed building the width-@p row_bits stream. */
     double bhtMissRate(unsigned row_bits);
-
-    /**
-     * Lookups (stream() or bhtMissRate()) that missed the prepared
-     * lock-free table and had to take the lazy-build lock.  Fused
-     * execution after prepare() must leave this at zero -- the
-     * invariant pinned by test_sweep.
-     */
-    std::size_t lockedLookups() const;
 
     /**
      * Number of first-level streams computed so far (path stream plus
@@ -560,22 +523,18 @@ class StreamCache
     double sweepBhtMissRate() const;
 
     /**
-     * Enable release-after-last-consumer: record how many of @p groups
-     * consume each first-level stream so groupFinished() can free a
-     * stream's buffer the moment its last consumer completes (a full
-     * multi-scheme sweep would otherwise hold O(schemes x trace)
-     * bytes).  While tracking is on, stream() and bhtMissRate() bypass
-     * the lock-free prepared table -- a freed buffer must never be
-     * reachable through it -- and take the lazy lock instead: one
-     * short lock per group, not per branch.  Call before dispatching
-     * executors; not thread-safe against concurrent lookups.
+     * Enable release after use: from now on groupFinished() frees the
+     * finished group's stream buffer (a full multi-scheme sweep would
+     * otherwise hold O(schemes x trace) bytes).  Sound for a
+     * planFusedGroups() plan, where each stream has exactly one
+     * consuming group.
      */
-    void planRelease(const std::vector<FusedGroup> &groups);
+    void planRelease();
 
     /**
-     * One group of the planned release set finished executing: drop
-     * any stream whose consumers are all done.  No-op without
-     * planRelease().  Thread-safe.
+     * A group finished executing: after planRelease(), free its
+     * stream.  No-op otherwise, so one-off probes keep reusing their
+     * streams.
      */
     void groupFinished(const FusedGroup &group);
 
@@ -598,8 +557,6 @@ class StreamCache
     const BhtStream &bhtStreamLocked(unsigned row_bits);
     /** Count a freshly built stream toward the resident high-water. */
     void noteStreamResidentLocked();
-    /** Lock-free lookup in the prepared table; nullptr on miss. */
-    const BhtStream *preparedBhtStream(unsigned row_bits) const;
 
     const PreparedTrace &trace_;
     SweepOptions opts_;
@@ -607,38 +564,30 @@ class StreamCache
     std::optional<std::vector<std::uint64_t>> path_;
     std::map<unsigned, BhtStream> bht_;
     std::size_t streamBuilds_ = 0;
-    /**
-     * Lock-free lookup table published by prepare(): stable pointers
-     * into path_ / bht_ (map nodes never move, lazy inserts never
-     * touch these), read by stream()/bhtMissRate() without the lock.
-     */
-    const std::vector<std::uint64_t> *preparedPath_ = nullptr;
-    std::vector<std::pair<unsigned, const BhtStream *>> preparedBht_;
-    mutable std::atomic<std::size_t> lockedLookups_{0};
-    /** Release-after-last-consumer state (planRelease). */
-    bool releaseTracking_ = false;
-    std::size_t pathConsumers_ = 0;
-    std::map<unsigned, std::size_t> bhtConsumers_;
+    /** groupFinished() frees streams (planRelease). */
+    bool release_ = false;
     std::size_t residentStreams_ = 0;
     std::size_t peakResidentStreams_ = 0;
 };
 
 /**
- * Execute one fused group, writing each member job's result into
- * slots[job index].  @p slots addresses the whole planned job vector.
- * A 2-bit group walks the trace once, updating every member's packed
- * pattern table per branch through the lane-batched SIMD kernel
- * (SweepOptions::simd picks the dispatch target); when the cache's
- * options track aliasing, each member instead replays lane-major
- * beside its own AliasTracker.  A model group steps every member
- * model.  When @p telemetry is non-null the
- * group's kernel counters are accumulated into it.  Thread-safe once
- * @p cache is prepared for the group.
+ * Execute planned groups as one task grid under the cache's options,
+ * writing each member job's result into slots[job index]; @p slots
+ * addresses the whole planned job vector.  Each group has
+ * min(lanes, threads) lane shards and resolveSegments() trace
+ * segments (one for alias groups).  A 2-bit lane replays its packed
+ * pattern table through the lane-batched SIMD kernel
+ * (SweepOptions::simd picks the dispatch target); when the options
+ * track aliasing, each lane instead replays lane-major beside its own
+ * AliasTracker.  A model lane steps a full zoo model.  The last task
+ * of each group reports it to StreamCache::groupFinished().  When
+ * @p telemetry is non-null the grid's kernel counters are merged into
+ * it.
  */
-void runFusedGroup(const FusedGroup &group,
-                   const std::vector<ConfigJob> &jobs,
-                   StreamCache &cache, ConfigResult *slots,
-                   KernelTelemetry *telemetry = nullptr);
+void runFusedGroups(const std::vector<FusedGroup> &groups,
+                    const std::vector<ConfigJob> &jobs,
+                    StreamCache &cache, ConfigResult *slots,
+                    KernelTelemetry *telemetry = nullptr);
 
 /** Surfaces over the whole configuration space of one scheme. */
 struct SweepResult
@@ -657,9 +606,9 @@ struct SweepResult
 
 /**
  * Sweep @p kind over every tier in [minTotalBits, maxTotalBits] and
- * every row/column split within each tier, using opts.threads
- * concurrent trace replays.  The result is bit-identical for any
- * thread count.
+ * every row/column split within each tier, on one task grid of up to
+ * opts.threads executors.  The result is bit-identical for any thread
+ * count.
  */
 SweepResult sweepScheme(const PreparedTrace &trace, SchemeKind kind,
                         const SweepOptions &opts = {});
@@ -667,9 +616,9 @@ SweepResult sweepScheme(const PreparedTrace &trace, SchemeKind kind,
 /**
  * Measure a single configuration (2^row_bits x 2^col_bits) through a
  * caller-held cache, sharing first-level streams across calls.  The
- * configuration runs as a one-lane group on the sweep replay (a fused
- * lane, or a model lane for the zoo), always exactly: `segments` and
- * `fusedThreads` do not apply to a single point.
+ * configuration runs as a one-job plan on the sweep grid (a fused
+ * lane, or a model lane for the zoo), always exactly: `segments` does
+ * not apply to a single point.
  */
 ConfigResult simulateConfig(StreamCache &cache, SchemeKind kind,
                             unsigned row_bits, unsigned col_bits);

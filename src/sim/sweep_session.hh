@@ -30,10 +30,10 @@
  *    per-scheme parameters the scheme actually reads, and -- only when
  *    a request resolves speculative (resolveSegments > 1) -- the
  *    segment count and warm-up width, so speculative and exact results
- *    never cross-serve.  Execution knobs (threads, simd,
- *    fusedThreads) are bit-identical by construction -- pinned by the
- *    differential tests -- and are excluded, so a sweep computed with
- *    8 threads is a hit for a serial rerun.
+ *    never cross-serve.  Execution knobs (threads, which also sizes
+ *    the lane shards, and simd) are bit-identical by construction --
+ *    pinned by the differential tests -- and are excluded, so a sweep
+ *    computed with 8 threads is a hit for a serial rerun.
  *
  *  - kEngineVersion MUST be bumped whenever replay semantics change
  *    (new tie-breaking, counter init, history seeding, ...): old .bpc

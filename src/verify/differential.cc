@@ -541,10 +541,11 @@ runDifferentialFuzzer(const FuzzOptions &options)
         }
 
         // Layer 2: the sweep engine vs reference misprediction rate,
-        // exact equality, through a one-lane simulateConfig probe and
-        // a one-job group per SIMD target.  Where the online twin is
-        // a two-level predictor, the probe also runs alias lanes and
-        // is held to that predictor's aliasing/harmless rates.
+        // exact equality, through one-lane simulateConfig probes: one
+        // under the default dispatch, then one per SIMD target.
+        // Where the online twin is a two-level predictor, the first
+        // probe also runs alias lanes and is held to that predictor's
+        // aliasing/harmless rates.
         if (options.crossCheckFastPath) {
             if (auto kind = sweepKind(scheme)) {
                 const TwoLevelAliasing online =
@@ -611,17 +612,9 @@ runDifferentialFuzzer(const FuzzOptions &options)
                     SweepOptions fused_opts = sweep;
                     fused_opts.trackAliasing = false;
                     fused_opts.simd = target;
-                    const std::vector<ConfigJob> fused_jobs{ConfigJob{
-                        *kind, config.rowBits + config.colBits,
-                        config.rowBits, config.colBits}};
-                    const std::vector<FusedGroup> fused_groups =
-                        planFusedGroups(fused_jobs, 1);
-                    StreamCache fused_cache(prepared, fused_opts);
-                    fused_cache.prepare(fused_jobs, 1);
-                    ConfigResult fused_result;
-                    for (const FusedGroup &group : fused_groups)
-                        runFusedGroup(group, fused_jobs, fused_cache,
-                                      &fused_result);
+                    const ConfigResult fused_result =
+                        simulateConfig(prepared, *kind, config.rowBits,
+                                       config.colBits, fused_opts);
                     if (fused_result.mispRate != reference_rate &&
                         report.fastPathProblems.size() <
                             maxStoredProblems) {

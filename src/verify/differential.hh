@@ -10,9 +10,9 @@
  *    trace, branch by branch, and reports the FIRST diverging
  *    conditional-branch instance with the full reference state.
  *  - referenceMispRate() lets callers hold the sweep engine
- *    (simulateConfig / runFusedGroup) to the reference's misprediction
- *    rate, closing the triangle online-engine / sweep-kernel /
- *    reference.
+ *    (simulateConfig, a one-job sweep plan) to the reference's
+ *    misprediction rate, closing the triangle online-engine /
+ *    sweep-kernel / reference.
  *  - runDifferentialFuzzer() drives both checks over many randomized
  *    (trace, configuration) pairs spanning every scheme.
  */
@@ -86,8 +86,8 @@ struct FuzzOptions
     bool includeVariants = true;
     /**
      * For core-scheme pairs, additionally check the sweep engine -- a
-     * one-lane simulateConfig probe and a one-job runFusedGroup per
-     * SIMD target -- against the reference misprediction rate, and
+     * one-lane simulateConfig probe, then one per SIMD target --
+     * against the reference misprediction rate, and
      * the probe's alias lane against the online predictor's aliasing
      * and harmless rates.
      */

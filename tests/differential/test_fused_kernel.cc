@@ -11,7 +11,7 @@
  * This is the sweep-group-shaped complement of the per-pair fused
  * cross-check inside runDifferentialFuzzer (which the tier-1 campaign
  * in test_differential_fuzz.cc runs): here whole mixed-tier job lists
- * go through planFusedGroups/runFusedGroup exactly as sweepScheme
+ * go through planFusedGroups/runFusedGroups exactly as sweepScheme
  * dispatches them.
  *
  * The SweepAliasLanes suite at the bottom pins the alias lanes under
@@ -95,16 +95,17 @@ refConfigFor(const ConfigJob &job, const SweepOptions &opts)
     return config;
 }
 
-/** Run @p jobs through planFusedGroups/runFusedGroup. */
+/** Run @p jobs through planFusedGroups/runFusedGroups. */
 std::vector<ConfigResult>
 runFused(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
          const SweepOptions &opts, unsigned threads)
 {
-    StreamCache cache(t, opts);
+    SweepOptions grid = opts;
+    grid.threads = threads;
+    StreamCache cache(t, grid);
     cache.prepare(jobs, 1);
     std::vector<ConfigResult> slots(jobs.size());
-    for (const FusedGroup &group : planFusedGroups(jobs, threads))
-        runFusedGroup(group, jobs, cache, slots.data());
+    runFusedGroups(planFusedGroups(jobs), jobs, cache, slots.data());
     return slots;
 }
 
@@ -390,17 +391,16 @@ TEST(SweepAliasLanes, FuzzedSweepsMatchReferenceAndOnlinePredictors)
 
         const std::string name = schemeKindName(kind);
         for (SimdTarget target : targets) {
-            for (unsigned shards : {1u, 3u}) {
+            for (unsigned threads : {1u, 3u}) {
                 for (unsigned segments : {1u, 4u}) {
                     SweepOptions o = opts;
                     o.simd = target;
-                    o.fusedThreads = shards;
+                    o.threads = threads;
                     o.segments = segments;
-                    o.threads = 1 + rng.nextBounded(2);
                     const SweepResult r = sweepScheme(prepared, kind, o);
                     const std::string what =
                         name + " " + simdTargetName(target) +
-                        " shards=" + std::to_string(shards) +
+                        " threads=" + std::to_string(threads) +
                         " segments=" + std::to_string(segments) +
                         " round " + std::to_string(round);
                     expectSweepMatchesTruth(r, jobs, truth, what);

@@ -1,11 +1,11 @@
 /**
  * @file
  * Differential verification of the batched model-lane replay
- * (runModelBatch in sweep.cc): a model group stepping the whole
+ * (replayModelLanes in sweep.cc): a model group stepping the whole
  * TAGE/perceptron zoo in one trace pass must agree exactly, per
  * configuration, with the naive reference mirrors
  * (verify/reference_model.cc) and with its own one-lane replay
- * (simulateConfig), for every SIMD dispatch target, shard count and
+ * (simulateConfig), for every SIMD dispatch target, thread count and
  * fuzzed group composition; speculative segments must be
  * deterministic with a bounded epsilon and exact under a covering
  * warm-up.
@@ -106,16 +106,14 @@ refConfigFor(const ConfigJob &job, const SweepOptions &opts)
     return config;
 }
 
-/** Run @p jobs through planFusedGroups/runFusedGroup. */
+/** Run @p jobs through planFusedGroups/runFusedGroups. */
 std::vector<ConfigResult>
 runGroups(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
-          const SweepOptions &opts, unsigned threads)
+          const SweepOptions &opts)
 {
     StreamCache cache(t, opts);
-    cache.prepare(jobs, 1);
     std::vector<ConfigResult> slots(jobs.size());
-    for (const FusedGroup &group : planFusedGroups(jobs, threads))
-        runFusedGroup(group, jobs, cache, slots.data());
+    runFusedGroups(planFusedGroups(jobs), jobs, cache, slots.data());
     return slots;
 }
 
@@ -167,7 +165,7 @@ maxPointDelta(const SweepResult &a, const SweepResult &b)
 
 /**
  * One fuzzed group composition: a job list executed through the
- * model-group path under (target, shards, threads), every slot held
+ * model-group path under (target, threads), every slot held
  * to exact equality against its configuration's reference mirror
  * (misprediction) and one-lane replay (aliasing surfaces, which the
  * zoo leaves at zero).
@@ -177,13 +175,12 @@ checkComposition(const MemoryTrace &trace,
                  const PreparedTrace &prepared,
                  const std::vector<ConfigJob> &jobs,
                  const SweepOptions &base, SimdTarget target,
-                 unsigned shards, unsigned threads, int round)
+                 unsigned threads, int round)
 {
     SweepOptions opts = base;
     opts.simd = target;
-    opts.fusedThreads = shards;
-    std::vector<ConfigResult> batched =
-        runGroups(prepared, jobs, opts, threads);
+    opts.threads = threads;
+    std::vector<ConfigResult> batched = runGroups(prepared, jobs, opts);
 
     StreamCache one_lane_cache(prepared, base);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -194,7 +191,7 @@ checkComposition(const MemoryTrace &trace,
                   referenceMispRate(refConfigFor(jobs[j], base), trace))
             << schemeKindName(jobs[j].kind) << " r=" << jobs[j].rowBits
             << " c=" << jobs[j].colBits << " "
-            << simdTargetName(target) << " shards=" << shards
+            << simdTargetName(target) << " threads=" << threads
             << " round " << round;
         EXPECT_EQ(batched[j].aliasRate, expected.aliasRate);
         EXPECT_EQ(batched[j].harmlessFraction,
@@ -241,11 +238,10 @@ TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
         configs_checked += pointCount(serial);
 
         for (SimdTarget target : supportedSimdTargets()) {
-            for (unsigned shards : {2u, 3u, 8u, 0u}) {
+            for (unsigned threads : {2u, 3u, 8u, 0u}) {
                 SweepOptions opts = base;
                 opts.simd = target;
-                opts.fusedThreads = shards;
-                opts.threads = (round & 1) ? 2 : 1;
+                opts.threads = threads;
                 const SweepResult batched =
                     sweepScheme(prepared, kind, opts);
                 expectSurfacesIdentical(serial, batched,
@@ -259,10 +255,10 @@ TEST(ModelBatchDifferential, BatchedSweepBitIdenticalToPerConfig)
 TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
 {
     // >= 100 fuzzed group compositions through the raw
-    // planFusedGroups/runFusedGroup route: mixed tiers, duplicate
+    // planFusedGroups/runFusedGroups route: mixed tiers, duplicate
     // lanes, fuzzed model geometry, a random dispatch target and
-    // shard/chunk shape per composition.  Sorting lanes into
-    // entry-width classes, chunked grouping and the shared key blocks
+    // thread (shard) count per composition.  Sorting lanes into
+    // entry-width classes, lane sharding and the shared key blocks
     // must never leak between lanes.
     Pcg32 rng(0xBA7C4ED5ULL, 11);
 
@@ -293,10 +289,9 @@ TEST(ModelBatchDifferential, FuzzedGroupCompositionsAgreeWithPerConfig)
 
         const SimdTarget target =
             targets[rng.nextBounded(targets.size())];
-        const unsigned shards = 1 + rng.nextBounded(8);
-        const unsigned threads = 1 + rng.nextBounded(3);
+        const unsigned threads = 1 + rng.nextBounded(8);
         checkComposition(traces[trace_idx], t, jobs, opts, target,
-                         shards, threads, round);
+                         threads, round);
         ++compositions;
     }
     EXPECT_GE(compositions, 100u);
@@ -458,8 +453,7 @@ TEST(ModelBatchDifferential, SpeculativeEpsilonBoundedAndDeterministic)
             << schemeKindName(kind);
 
         SweepOptions spec2 = spec;
-        spec2.fusedThreads = 3;
-        spec2.threads = 2;
+        spec2.threads = 3;
         const SweepResult again = sweepScheme(prepared, kind, spec2);
         expectSurfacesIdentical(approx, again, schemeKindName(kind));
     }
@@ -498,7 +492,7 @@ TEST(ModelBatchDifferential, TelemetryReportsModelGroupShape)
     SweepOptions opts;
     opts.minTotalBits = 5;
     opts.maxTotalBits = 8;
-    opts.fusedThreads = 2;
+    opts.threads = 2;
     opts.segments = 3;
     opts.segmentWarmup = 512;
     const SweepResult r =
@@ -516,8 +510,7 @@ TEST(ModelBatchDifferential, TelemetryReportsModelGroupShape)
     EXPECT_EQ(r.kernel.segmentsPerGroup(), 3.0);
     EXPECT_GE(r.kernel.shardsPerGroup(), 1.0);
     EXPECT_GE(r.kernel.shardTasks, r.kernel.segments);
-    EXPECT_LE(r.kernel.shardTasks,
-              r.kernel.segments * opts.fusedThreads);
+    EXPECT_LE(r.kernel.shardTasks, r.kernel.segments * opts.threads);
     EXPECT_GT(r.kernel.warmupBranches, 0u);
     EXPECT_GT(r.kernel.modelLanesPerGroup(), 0.0);
     const double util = r.kernel.workerUtilization();
@@ -571,10 +564,9 @@ TEST(ModelBatchSlow, CompositionCampaign)
             jobs.push_back(
                 fuzzZooJob(kind, 5 + rng.nextBounded(6), rng));
 
-        const unsigned shards = 1 + rng.nextBounded(8);
-        const unsigned threads = 1 + rng.nextBounded(3);
+        const unsigned threads = 1 + rng.nextBounded(8);
         for (SimdTarget target : targets)
             checkComposition(traces[trace_idx], t, jobs, opts, target,
-                             shards, threads, round);
+                             threads, round);
     }
 }

@@ -9,8 +9,8 @@
  *
  * The suite name is load-bearing: the tsan preset runs
  * "ThreadPool|Sweep|Experiment|ServiceStress|SegmentParallel", so the
- * nested groups-outer/shards-inner pool dispatch here is replayed
- * under the race detector.
+ * groups x shards x segments task grid here is replayed under the race
+ * detector.
  */
 
 #include <gtest/gtest.h>
@@ -96,10 +96,10 @@ maxPointDelta(const SweepResult &a, const SweepResult &b)
 
 TEST(SegmentParallel, LaneShardingBitIdenticalAcrossFuzzedConfigs)
 {
-    // The tentpole invariant: sharding the lane dimension never
-    // changes any result, for any shard count, on any SIMD target,
-    // with or without outer group parallelism.  >= 100 fuzzed
-    // configurations accumulate across the rounds.
+    // The grid invariant: sharding the lane dimension never changes
+    // any result, for any thread (hence shard) count, on any SIMD
+    // target.  >= 100 fuzzed configurations accumulate across the
+    // rounds.
     Pcg32 rng(0x5E63B0B5ULL, 17);
     std::size_t configs_checked = 0;
     for (int round = 0; round < 8; ++round) {
@@ -115,20 +115,16 @@ TEST(SegmentParallel, LaneShardingBitIdenticalAcrossFuzzedConfigs)
         base.bhtEntries = 32u << rng.nextBounded(3);
         base.bhtAssoc = rng.nextBounded(2) ? 4 : 2;
         base.pathBitsPerTarget = 1 + rng.nextBounded(4);
-        base.fusedThreads = 1;
+        base.threads = 1;
 
         const SweepResult serial = sweepScheme(prepared, kind, base);
         configs_checked += pointCount(serial);
 
         for (SimdTarget target : supportedSimdTargets()) {
-            for (unsigned shards : {2u, 3u, 8u, 0u}) {
+            for (unsigned threads : {2u, 3u, 8u, 0u}) {
                 SweepOptions opts = base;
                 opts.simd = target;
-                opts.fusedThreads = shards;
-                // Mix in outer group parallelism on some rounds: the
-                // nested groups x shards dispatch is the production
-                // shape.
-                opts.threads = (round & 1) ? 2 : 1;
+                opts.threads = threads;
                 const SweepResult sharded =
                     sweepScheme(prepared, kind, opts);
                 expectSurfacesIdentical(serial, sharded,
@@ -170,8 +166,7 @@ TEST(SegmentParallel, SpeculativeEpsilonBoundedAndDeterministic)
         // first speculative run -- the epsilon is a property of
         // (K, warmup), not of the execution.
         SweepOptions spec2 = spec;
-        spec2.fusedThreads = 3;
-        spec2.threads = 2;
+        spec2.threads = 3;
         const SweepResult again = sweepScheme(prepared, kind, spec2);
         expectSurfacesIdentical(approx, again, schemeKindName(kind));
     }
@@ -266,7 +261,7 @@ TEST(SegmentParallel, TelemetryReportsSegmentAndShardShape)
     opts.trackAliasing = false;
     opts.minTotalBits = 4;
     opts.maxTotalBits = 7;
-    opts.fusedThreads = 2;
+    opts.threads = 2;
     opts.segments = 3;
     opts.segmentWarmup = 512;
     const SweepResult r =
@@ -279,10 +274,9 @@ TEST(SegmentParallel, TelemetryReportsSegmentAndShardShape)
     EXPECT_GE(r.kernel.shardsPerGroup(), 1.0);
     // Per group, tasks = shards x segments; summed over groups that
     // bounds the total by the segment sum on one side and the
-    // fusedThreads-scaled sum on the other.
+    // threads-scaled sum on the other.
     EXPECT_GE(r.kernel.shardTasks, r.kernel.segments);
-    EXPECT_LE(r.kernel.shardTasks,
-              r.kernel.segments * opts.fusedThreads);
+    EXPECT_LE(r.kernel.shardTasks, r.kernel.segments * opts.threads);
     // Two speculative segments per group warm up, each over the full
     // configured window (the trace is long enough).
     EXPECT_GT(r.kernel.warmupBranches, 0u);

@@ -217,33 +217,42 @@ TEST(Protocol, ParsesSegmentParallelOptions)
     Result<Request> req = parseLine(
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"gshare\",\"options\":{\"segments\":4,"
-        "\"fused_threads\":8,\"segment_warmup\":512}}");
+        "\"segment_warmup\":512}}");
     ASSERT_TRUE(req.ok()) << (req.ok() ? "" : req.error().message());
     EXPECT_EQ(req.value().options.segments, 4u);
-    EXPECT_EQ(req.value().options.fusedThreads, 8u);
     EXPECT_EQ(req.value().options.segmentWarmup, 512u);
 
-    // Unset, the defaults stay: exact replay, serial lane dimension.
+    // Unset, the default stays: exact replay.
     Result<Request> plain = parseLine(
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"gshare\"}");
     ASSERT_TRUE(plain.ok());
     EXPECT_EQ(plain.value().options.segments, 0u);
-    EXPECT_EQ(plain.value().options.fusedThreads, 1u);
 
-    // Bounds: segments in [1, kMaxSegments], fused_threads capped.
+    // Bounds: segments in [1, kMaxSegments], warm-up non-negative.
     const char *bad[] = {
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"g\",\"options\":{\"segments\":0}}",
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"g\",\"options\":{\"segments\":65}}",
         "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
-        "\"scheme\":\"g\",\"options\":{\"fused_threads\":1000}}",
-        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
         "\"scheme\":\"g\",\"options\":{\"segment_warmup\":-1}}",
     };
     for (const char *text : bad)
         EXPECT_FALSE(parseLine(text).ok()) << text;
+
+    // The lane-shard count follows the server's `threads`; the old
+    // per-request fused_threads key is gone and is rejected by name.
+    Result<Request> removed = parseLine(
+        "{\"op\":\"sweep\",\"trace\":{\"profile\":\"gcc\"},"
+        "\"scheme\":\"gshare\",\"options\":{\"fused_threads\":4}}");
+    ASSERT_FALSE(removed.ok());
+    EXPECT_NE(removed.error().message().find("unknown options field"),
+              std::string::npos)
+        << removed.error().message();
+    EXPECT_NE(removed.error().message().find("fused_threads"),
+              std::string::npos)
+        << removed.error().message();
 }
 
 namespace {
@@ -354,7 +363,7 @@ TEST(Protocol, EveryOptionRowParsesItsRangeAndNothingBeyond)
                                                lo + 6, lo + 7, lo + 8})));
         }
     }
-    EXPECT_EQ(walked, 12u);
+    EXPECT_EQ(walked, 11u);
 }
 
 TEST(Protocol, ParsesTraceForms)

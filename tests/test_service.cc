@@ -257,6 +257,13 @@ TEST(Service, ErrorClassification)
               "bad_json");
     EXPECT_EQ(errorCode(handle(server, "{\"op\":\"warp\"}")),
               "bad_request");
+    // A removed option key is an unknown field, never silently ignored.
+    EXPECT_EQ(errorCode(handle(
+                  server,
+                  "{\"op\":\"sweep\",\"trace\":{\"profile\":"
+                  "\"compress\"},\"scheme\":\"GAs\",\"options\":"
+                  "{\"fused_threads\":4}}")),
+              "bad_request");
     EXPECT_EQ(errorCode(handle(
                   server,
                   "{\"op\":\"sweep\",\"trace\":{\"profile\":"

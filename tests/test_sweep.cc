@@ -483,78 +483,90 @@ TEST(Sweep, FusedGroupPlanPartitionsJobsByStream)
     o.trackAliasing = false;
 
     // GAs: every job shares the global-history stream -> one fused
-    // group at threads=1, covering all jobs exactly once.
+    // group covering all jobs exactly once, in plan order.
     auto jobs = planSweep(SchemeKind::GAs, o);
-    auto groups = planFusedGroups(jobs, 1);
+    auto groups = planFusedGroups(jobs);
     ASSERT_EQ(groups.size(), 1u);
-    EXPECT_EQ(groups[0].jobs.size(), jobs.size());
-
-    // threads=3 chunks the group without losing or duplicating jobs.
-    auto chunked = planFusedGroups(jobs, 3);
-    EXPECT_EQ(chunked.size(), 3u);
-    std::vector<bool> seen(jobs.size(), false);
-    for (const auto &g : chunked) {
-        for (std::size_t idx : g.jobs) {
-            ASSERT_LT(idx, jobs.size());
-            EXPECT_FALSE(seen[idx]) << "job " << idx << " duplicated";
-            seen[idx] = true;
-        }
-    }
-    for (std::size_t i = 0; i < seen.size(); ++i)
-        EXPECT_TRUE(seen[i]) << "job " << i << " dropped";
+    ASSERT_EQ(groups[0].jobs.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(groups[0].jobs[i], i);
 
     // PAsFinite streams depend on the row width: one group per
     // distinct rowBits (widths 0..8 across tiers 4..8).
     auto finite_jobs = planSweep(SchemeKind::PAsFinite, o);
-    auto finite_groups = planFusedGroups(finite_jobs, 1);
+    auto finite_groups = planFusedGroups(finite_jobs);
     EXPECT_EQ(finite_groups.size(), 9u);
+    std::size_t covered = 0;
     for (const auto &g : finite_groups) {
+        covered += g.jobs.size();
         for (std::size_t idx : g.jobs)
             EXPECT_EQ(finite_jobs[idx].rowBits, g.streamRowBits);
     }
+    EXPECT_EQ(covered, finite_jobs.size());
 }
 
-TEST(Sweep, FusedExecutionDoesZeroLockedLookupsAfterPrepare)
+TEST(Sweep, OneGroupPerStreamAndShardsFollowThreads)
 {
+    // The grid's shape: one group per first-level stream whatever the
+    // thread count, with min(threads, lanes) lane shards, and every
+    // shape bit-identical to the serial sweep.
     PreparedTrace t(sharedWorkload());
-    SweepOptions o;
-    o.minTotalBits = 4;
-    o.maxTotalBits = 7;
-    o.trackAliasing = false;
-    o.bhtEntries = 64;
-
-    for (SchemeKind kind : {SchemeKind::Gshare, SchemeKind::Path,
-                            SchemeKind::PAsFinite}) {
-        auto jobs = planSweep(kind, o);
-        auto groups = planFusedGroups(jobs, 2);
-        StreamCache cache(t, o);
-        cache.prepare(jobs, 1);
-        EXPECT_EQ(cache.lockedLookups(), 0u) << schemeKindName(kind);
-
-        std::vector<ConfigResult> slots(jobs.size());
-        for (const auto &group : groups)
-            runFusedGroup(group, jobs, cache, slots.data());
-        EXPECT_EQ(cache.lockedLookups(), 0u)
-            << schemeKindName(kind)
-            << ": fused execution took the lazy-build lock";
+    struct Case
+    {
+        SchemeKind kind;
+        bool aliasing;
+        unsigned minBits, maxBits;
+    };
+    const Case cases[] = {
+        {SchemeKind::GAs, false, 4, 9},
+        {SchemeKind::Gshare, true, 4, 9},
+        {SchemeKind::PAsPerfect, false, 4, 9},
+        {SchemeKind::Tage, false, 6, 8},
+        {SchemeKind::Perceptron, false, 6, 8},
+    };
+    for (const Case &c : cases) {
+        SweepOptions o;
+        o.minTotalBits = c.minBits;
+        o.maxTotalBits = c.maxBits;
+        o.trackAliasing = c.aliasing;
+        o.segments = 1;
+        const std::size_t lanes = planSweep(c.kind, o).size();
+        const SweepResult serial = sweepScheme(t, c.kind, o);
+        for (unsigned threads : {1u, 2u, 4u, 8u}) {
+            SweepOptions opts = o;
+            opts.threads = threads;
+            const SweepResult r = sweepScheme(t, c.kind, opts);
+            const std::string what = std::string(schemeKindName(c.kind)) +
+                                     " threads=" + std::to_string(threads);
+            EXPECT_EQ(r.kernel.fusedGroups + r.kernel.modelGroups, 1u)
+                << what;
+            EXPECT_EQ(r.kernel.laneShards,
+                      std::min<std::size_t>(threads, lanes))
+                << what;
+            expectSurfacesIdentical(serial.misprediction,
+                                    r.misprediction, what.c_str());
+            expectSurfacesIdentical(serial.aliasing, r.aliasing,
+                                    what.c_str());
+            expectSurfacesIdentical(serial.harmless, r.harmless,
+                                    what.c_str());
+        }
     }
 
-    // Contrast: an unprepared cache must count its locked lookups.
-    StreamCache lazy(t, o);
-    lazy.stream(SchemeKind::Path, 3);
-    EXPECT_EQ(lazy.lockedLookups(), 1u);
-    lazy.bhtMissRate(4);
-    EXPECT_EQ(lazy.lockedLookups(), 2u);
-    // A prepare() over those same needs re-publishes the fast table;
-    // repeated lookups stop locking.
-    std::vector<ConfigJob> jobs{ConfigJob{SchemeKind::Path, 7, 3, 4},
-                                ConfigJob{SchemeKind::PAsFinite, 7, 4,
-                                          3}};
-    lazy.prepare(jobs, 1);
-    lazy.stream(SchemeKind::Path, 3);
-    lazy.stream(SchemeKind::PAsFinite, 4);
-    lazy.bhtMissRate(4);
-    EXPECT_EQ(lazy.lockedLookups(), 2u);
+    // PAs(bht): one group per distinct row width at every thread count.
+    SweepOptions bht;
+    bht.minTotalBits = 4;
+    bht.maxTotalBits = 7;
+    bht.trackAliasing = false;
+    bht.bhtEntries = 64;
+    std::set<unsigned> widths;
+    for (const ConfigJob &job : planSweep(SchemeKind::PAsFinite, bht))
+        widths.insert(job.rowBits);
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        bht.threads = threads;
+        const SweepResult r = sweepScheme(t, SchemeKind::PAsFinite, bht);
+        EXPECT_EQ(r.kernel.fusedGroups, widths.size())
+            << "threads=" << threads;
+    }
 }
 
 TEST(Sweep, ForcedSimdTargetsBitIdenticalThroughSweepScheme)
@@ -685,11 +697,11 @@ TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)
     // PAsFinite needs one stream per row width: tiers 4..8 use widths
     // 0..8, nine streams of 8 bytes per branch each.
     auto jobs = planSweep(SchemeKind::PAsFinite, o);
-    auto groups = planFusedGroups(jobs, 1);
+    auto groups = planFusedGroups(jobs);
     ASSERT_EQ(groups.size(), 9u);
 
-    // Without a release plan, eager preparation keeps all nine
-    // resident for the cache's whole lifetime.
+    // Without release, eager preparation keeps all nine resident for
+    // the cache's whole lifetime.
     {
         StreamCache eager(t, o);
         eager.prepare(jobs, 1);
@@ -697,17 +709,12 @@ TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)
         EXPECT_EQ(eager.peakResidentStreams(), 9u);
     }
 
-    // With the release plan and lazy serial execution, a stream dies
-    // the moment its last consuming group finishes: peak residency is
-    // ONE stream, not nine.
+    // With release and lazy serial execution, a stream dies the moment
+    // its group finishes: peak residency is ONE stream, not nine.
     StreamCache cache(t, o);
-    cache.planRelease(groups);
+    cache.planRelease();
     std::vector<ConfigResult> slots(jobs.size());
-    for (const FusedGroup &group : groups) {
-        runFusedGroup(group, jobs, cache, slots.data());
-        cache.groupFinished(group);
-        EXPECT_LE(cache.residentStreams(), 1u);
-    }
+    runFusedGroups(groups, jobs, cache, slots.data());
     EXPECT_EQ(cache.residentStreams(), 0u);
     EXPECT_EQ(cache.peakResidentStreams(), 1u);
     // The sweep-level miss rate is recorded at build time and must
@@ -718,8 +725,8 @@ TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)
     StreamCache keep(t, o);
     keep.prepare(jobs, 1);
     std::vector<ConfigResult> expected(jobs.size());
-    for (const FusedGroup &group : groups)
-        runFusedGroup(group, jobs, keep, expected.data());
+    runFusedGroups(groups, jobs, keep, expected.data());
+    EXPECT_EQ(keep.residentStreams(), 9u);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(slots[i].mispRate, expected[i].mispRate) << i;
         EXPECT_EQ(slots[i].bhtMissRate, expected[i].bhtMissRate) << i;
@@ -735,14 +742,10 @@ TEST(Sweep, ReleasedStreamRebuildsOnLaterLookup)
     o.trackAliasing = false;
 
     auto jobs = planSweep(SchemeKind::Path, o);
-    auto groups = planFusedGroups(jobs, 1);
     StreamCache cache(t, o);
-    cache.planRelease(groups);
+    cache.planRelease();
     std::vector<ConfigResult> slots(jobs.size());
-    for (const FusedGroup &group : groups) {
-        runFusedGroup(group, jobs, cache, slots.data());
-        cache.groupFinished(group);
-    }
+    runFusedGroups(planFusedGroups(jobs), jobs, cache, slots.data());
     EXPECT_EQ(cache.residentStreams(), 0u);
     const std::size_t builds = cache.streamBuilds();
 

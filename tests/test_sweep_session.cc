@@ -182,7 +182,6 @@ TEST(SweepSession, ConfigKeyExcludesExecutionKnobs)
     SweepOptions a = smallSweep();
     SweepOptions b = smallSweep();
     b.threads = 8;
-    b.fusedThreads = 3;
     b.simd = SimdTarget::Scalar;
     // Execution knobs are bit-identical: same key, cache may serve.
     EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, a),
@@ -213,9 +212,10 @@ TEST(SweepSession, ConfigKeyExcludesExecutionKnobs)
     EXPECT_NE(SweepSession::cacheConfigKey(SchemeKind::Path, a),
               SweepSession::cacheConfigKey(SchemeKind::Path, f));
 
-    // fusedThreads is execution-only (lane sharding is bit-identical).
+    // threads sizes the lane shards, which are bit-identical: 0 (one
+    // per hardware thread) keys like the serial run.
     SweepOptions g = smallSweep();
-    g.fusedThreads = 8;
+    g.threads = 0;
     EXPECT_EQ(SweepSession::cacheConfigKey(SchemeKind::Gshare, a),
               SweepSession::cacheConfigKey(SchemeKind::Gshare, g));
 }
@@ -461,8 +461,7 @@ TEST(SweepSession, CacheKeysCoverEveryResultAffectingOption)
     ::unsetenv("BPSIM_SEGMENTS");
     using Member = decltype(OptionField::member);
     const Member execution_only[] = {&SweepOptions::threads,
-                                     &SweepOptions::simd,
-                                     &SweepOptions::fusedThreads};
+                                     &SweepOptions::simd};
     const Member tier_range[] = {&SweepOptions::minTotalBits,
                                  &SweepOptions::maxTotalBits};
     const auto contains = [](const auto &set, const Member &m) {
@@ -472,7 +471,7 @@ TEST(SweepSession, CacheKeysCoverEveryResultAffectingOption)
     // A speculative base, so the segment fields are read at all.
     SweepOptions base;
     base.segments = 4;
-    EXPECT_EQ(sweepOptionFields().size(), 15u);
+    EXPECT_EQ(sweepOptionFields().size(), 14u);
     for (SchemeKind kind : kSchemeKinds) {
         const SweepRequest request{TraceHash{1, 2}, kind, base};
         for (std::size_t row = 0; row < sweepOptionFields().size();
