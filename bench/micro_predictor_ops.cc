@@ -99,9 +99,8 @@ sweepKernel(benchmark::State &state)
 }
 
 /**
- * The stream-cache effect: a finite-BHT point probe rebuilds the BHT
- * history stream on every uncached call, while a caller-held
- * StreamCache builds it once and replays only the kernel.
+ * A finite-BHT point probe: one BHT pass builds the first-level
+ * history, then the one-lane kernel replays it.
  */
 void
 sweepKernelFiniteBht(benchmark::State &state)
@@ -110,19 +109,9 @@ sweepKernelFiniteBht(benchmark::State &state)
     SweepOptions o;
     o.trackAliasing = false;
     o.bhtEntries = 256;
-    if (state.range(0)) {
-        StreamCache cache(t, o);
-        for (auto _ : state) {
-            ConfigResult r =
-                simulateConfig(cache, SchemeKind::PAsFinite, 6, 6);
-            benchmark::DoNotOptimize(r.mispRate);
-        }
-    } else {
-        for (auto _ : state) {
-            ConfigResult r =
-                simulateConfig(t, SchemeKind::PAsFinite, 6, 6, o);
-            benchmark::DoNotOptimize(r.mispRate);
-        }
+    for (auto _ : state) {
+        ConfigResult r = simulateConfig(t, SchemeKind::PAsFinite, 6, 6, o);
+        benchmark::DoNotOptimize(r.mispRate);
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(t.size()));
@@ -301,7 +290,7 @@ traceGeneration(benchmark::State &state)
 } // namespace
 
 BENCHMARK(sweepKernel)->Arg(0)->Arg(1)->ArgNames({"aliasing"});
-BENCHMARK(sweepKernelFiniteBht)->Arg(0)->Arg(1)->ArgNames({"cached"});
+BENCHMARK(sweepKernelFiniteBht);
 BENCHMARK_CAPTURE(laneBatchReplay, scalar, SimdTarget::Scalar);
 BENCHMARK_CAPTURE(laneBatchReplay, sse2, SimdTarget::SSE2);
 BENCHMARK_CAPTURE(laneBatchReplay, avx512, SimdTarget::AVX512);

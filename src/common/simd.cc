@@ -9,7 +9,19 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 #define BPSIM_SIMD_X86 1
+// GCC 12's AVX-512 intrinsics seed their pass-through operand with a
+// self-initialised `__Y = __Y`, which -Wmaybe-uninitialized flags at
+// every inlined use (GCC bug 105593, fixed in GCC 13).  The diagnostic
+// points into the header, so silencing it for the header alone leaves
+// the check on for this file's own code.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif
 
 namespace bpsim {

@@ -1,5 +1,7 @@
 #include "predictor/bht.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace bpsim {
@@ -14,6 +16,28 @@ bhtResetPolicyName(BhtResetPolicy policy)
       case BhtResetPolicy::Hold: return "hold";
     }
     return "?";
+}
+
+std::uint64_t
+bhtResetValue(BhtResetPolicy policy, unsigned width)
+{
+    switch (policy) {
+      case BhtResetPolicy::C3ffPrefix: return c3ffPrefix(width);
+      case BhtResetPolicy::Ones: return mask(width);
+      case BhtResetPolicy::Zeros:
+      case BhtResetPolicy::Hold: break;
+    }
+    return 0;
+}
+
+BhtNarrowing::BhtNarrowing(BhtResetPolicy policy, unsigned width)
+{
+    bpsim_assert(width <= 64, "BHT history width ", width, " exceeds 64");
+    const std::uint64_t reset = bhtResetValue(policy, width);
+    for (unsigned age = 0; age <= 64; ++age) {
+        keep[age] = mask(std::min(age, width));
+        fill[age] = age < width ? (reset << age) & mask(width) : 0;
+    }
 }
 
 SetAssocBht::SetAssocBht(std::size_t entry_count, unsigned assoc_,
@@ -31,7 +55,7 @@ SetAssocBht::SetAssocBht(std::size_t entry_count, unsigned assoc_,
                  "BHT set count must be a power of two");
     setIndexBits = exactLog2(sets);
     entries.assign(entry_count,
-                   Entry{false, 0, HistoryRegister(history_bits), 0});
+                   Entry{false, 0, 0, HistoryRegister(history_bits), 0});
 }
 
 std::size_t
@@ -68,7 +92,7 @@ SetAssocBht::visit(Addr pc)
 
     if (Entry *hit = find(pc)) {
         hit->stamp = stampCounter;
-        return BhtLookup{hit->history.value(), false};
+        return BhtLookup{hit->history.value(), hit->age, false};
     }
 
     ++misses_;
@@ -87,9 +111,11 @@ SetAssocBht::visit(Addr pc)
     victim->valid = true;
     victim->tag = tagOf(pc);
     victim->stamp = stampCounter;
-    if (policy != BhtResetPolicy::Hold)
-        victim->history.set(resetValue());
-    return BhtLookup{victim->history.value(), true};
+    if (policy != BhtResetPolicy::Hold) {
+        victim->history.set(bhtResetValue(policy, historyBits_));
+        victim->age = 0;
+    }
+    return BhtLookup{victim->history.value(), victim->age, true};
 }
 
 void
@@ -99,22 +125,8 @@ SetAssocBht::recordOutcome(Addr pc, bool taken)
     bpsim_assert(e != nullptr,
                  "recordOutcome() without a preceding visit()");
     e->history.push(taken);
-}
-
-std::uint64_t
-SetAssocBht::resetValue() const
-{
-    switch (policy) {
-      case BhtResetPolicy::C3ffPrefix:
-        return c3ffPrefix(historyBits_);
-      case BhtResetPolicy::Zeros:
-        return 0;
-      case BhtResetPolicy::Ones:
-        return mask(historyBits_);
-      case BhtResetPolicy::Hold:
-        break;
-    }
-    bpsim_panic("resetValue() with no-reset policy");
+    if (e->age < 64)
+        ++e->age;
 }
 
 std::optional<std::uint64_t>
@@ -135,6 +147,7 @@ SetAssocBht::reset()
 {
     for (auto &e : entries) {
         e.valid = false;
+        e.age = 0;
         e.tag = 0;
         e.history = HistoryRegister(historyBits_);
         e.stamp = 0;

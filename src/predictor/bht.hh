@@ -12,6 +12,7 @@
 #ifndef BPSIM_PREDICTOR_BHT_HH
 #define BPSIM_PREDICTOR_BHT_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -37,11 +38,56 @@ enum class BhtResetPolicy
 /** @return a short display name for a reset policy. */
 const char *bhtResetPolicyName(BhtResetPolicy policy);
 
+/**
+ * The value a miss installs in a @p width-bit history register under
+ * @p policy.  Hold installs nothing; it returns 0, the value every
+ * register starts from, so an entry's history is still "the reset value
+ * shifted by every outcome since" under every policy.
+ */
+std::uint64_t bhtResetValue(BhtResetPolicy policy, unsigned width);
+
+/**
+ * Derives a BHT's width-w history registers from one 64-bit run of the
+ * same table.  Every width sees the same tags, hits, misses and LRU
+ * order; the registers differ only in the value a miss installs.  So
+ * with reg the 64-bit register and age the outcomes shifted in since
+ * the entry's last reset (BhtLookup::age), the width-w register is
+ *
+ *     age >= w ? reg & mask(w)
+ *              : ((bhtResetValue(policy, w) << age) |
+ *                 (reg & mask(age))) & mask(w)
+ *
+ * tabulated per age at construction, so a lookup is branch-free.
+ */
+class BhtNarrowing
+{
+  public:
+    BhtNarrowing(BhtResetPolicy policy, unsigned width);
+
+    /** The width-w register of an entry whose 64-bit register is
+     *  @p reg, @p age (0..64) outcomes after its last reset. */
+    std::uint64_t
+    operator()(std::uint64_t reg, unsigned age) const
+    {
+        return (reg & keep[age]) | fill[age];
+    }
+
+  private:
+    /** Per age: the bits shifted in since the reset, and the reset
+     *  value shifted above them. */
+    std::array<std::uint64_t, 65> keep{}, fill{};
+};
+
 /** Result of one BHT visit. */
 struct BhtLookup
 {
     /** History register value for the branch (post any miss reset). */
     std::uint64_t history = 0;
+    /**
+     * Outcomes shifted into the entry since it was last reset,
+     * saturating at 64 (Hold never resets).
+     */
+    unsigned age = 0;
     /** True when the visit missed (tag absent) and an entry was reset. */
     bool miss = false;
 };
@@ -98,6 +144,8 @@ class SetAssocBht
     struct Entry
     {
         bool valid = false;
+        /** BhtLookup::age of the entry. */
+        std::uint8_t age = 0;
         std::uint64_t tag = 0;
         HistoryRegister history;
         /** Lower = older; set-relative stamp for LRU. */
@@ -110,9 +158,6 @@ class SetAssocBht
 
     /** Find a valid matching way in the pc's set, or nullptr. */
     Entry *find(Addr pc);
-
-    /** History value installed on a miss (per the reset policy). */
-    std::uint64_t resetValue() const;
 
     std::vector<Entry> entries;
     unsigned assoc;

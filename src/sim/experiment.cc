@@ -3,19 +3,8 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
-#include "workload/synthetic.hh"
 
 namespace bpsim {
-
-PreparedTrace
-prepareProfile(const std::string &profile,
-               std::uint64_t target_conditionals)
-{
-    MemoryTrace trace =
-        generateProfileTrace(profile, target_conditionals);
-    return PreparedTrace(trace);
-}
 
 SweepOptions
 paperSweepOptions()
@@ -83,34 +72,6 @@ bestConfigRowFromSweep(const Table3SchemeSpec &spec,
         }
     }
     return row;
-}
-
-std::vector<BestConfigRow>
-bestConfigTable(const PreparedTrace &trace, const Table3Options &opts)
-{
-    // Execute the per-scheme sweeps on the shared pool.  Each sweep
-    // parallelizes internally too; the pool caps the combined
-    // concurrency.
-    const std::vector<Table3SchemeSpec> plan = table3Plan(opts);
-    std::vector<SweepResult> sweeps(plan.size(),
-                                    SweepResult("", trace.name()));
-    const unsigned threads = ThreadPool::resolveThreads(opts.threads);
-    auto run_one = [&](std::size_t i) {
-        sweeps[i] = sweepScheme(trace, plan[i].kind, plan[i].options);
-    };
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < plan.size(); ++i)
-            run_one(i);
-    } else {
-        ThreadPool::shared().parallelFor(plan.size(), threads, run_one);
-    }
-
-    std::vector<BestConfigRow> rows;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        rows.push_back(bestConfigRowFromSweep(plan[i], sweeps[i],
-                                              opts.budgetBits));
-    }
-    return rows;
 }
 
 } // namespace bpsim

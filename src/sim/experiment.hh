@@ -1,8 +1,8 @@
 /**
  * @file
  * Reusable experiment drivers shared by the bench binaries and examples:
- * best-configuration extraction (Table 3), difference surfaces
- * (Figures 7 and 8), and convenient profile-to-prepared-trace plumbing.
+ * the Table 3 scheme lineup and its best-configuration extraction, and
+ * the paper's sweep options.
  */
 
 #ifndef BPSIM_SIM_EXPERIMENT_HH
@@ -16,10 +16,6 @@
 #include "sim/sweep.hh"
 
 namespace bpsim {
-
-/** Generate a profile's trace and prepare it for sweeping. */
-PreparedTrace prepareProfile(const std::string &profile,
-                             std::uint64_t target_conditionals = 0);
 
 /** A best-in-tier entry for Table 3. */
 struct BestConfig
@@ -67,10 +63,8 @@ struct Table3SchemeSpec
 };
 
 /**
- * Expand @p opts into the concrete per-scheme sweeps of Table 3.
- * Shared by bestConfigTable and SweepSession::bestConfigs so the two
- * paths replay byte-identical configuration lattices (which is what
- * lets the session serve Table 3 from the result cache).
+ * Expand @p opts into the concrete per-scheme sweeps of Table 3, the
+ * lattices SweepSession::bestConfigs sweeps through its result cache.
  */
 std::vector<Table3SchemeSpec> table3Plan(const Table3Options &opts);
 
@@ -79,11 +73,6 @@ BestConfigRow
 bestConfigRowFromSweep(const Table3SchemeSpec &spec,
                        const SweepResult &sweep,
                        const std::vector<unsigned> &budget_bits);
-
-/** Compute the Table 3 rows for one prepared trace. */
-std::vector<BestConfigRow>
-bestConfigTable(const PreparedTrace &trace,
-                const Table3Options &opts = {});
 
 /** The paper's tier range: 2^4 (16) through 2^15 (32768) counters. */
 SweepOptions paperSweepOptions();

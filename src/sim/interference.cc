@@ -107,24 +107,16 @@ analyzeInterference(const PreparedTrace &trace, SchemeKind kind,
     const std::uint64_t row_mask = mask(row_bits);
     const std::uint64_t col_mask = mask(col_bits);
 
-    // First-level streams, shared with the sweep semantics (and pinned
+    // First-level inputs, shared with the sweep semantics (and pinned
     // equivalent by the sweep tests).
-    std::vector<std::uint64_t> aux;
-    bool use_aux = false;
-    switch (kind) {
-      case SchemeKind::Path:
-        aux = trace.pathHistoryStream(opts.pathBitsPerTarget);
-        use_aux = true;
-        break;
-      case SchemeKind::PAsFinite:
-        aux = trace.bhtHistoryStream(opts.bhtEntries, opts.bhtAssoc,
-                                     row_bits, nullptr,
-                                     opts.bhtResetPolicy);
-        use_aux = true;
-        break;
-      default:
-        break;
-    }
+    std::vector<std::uint64_t> path;
+    BhtHistory bht;
+    if (kind == SchemeKind::Path)
+        path = trace.pathHistoryStream(opts.pathBitsPerTarget);
+    if (kind == SchemeKind::PAsFinite)
+        bht = trace.bhtHistory(opts.bhtEntries, opts.bhtAssoc,
+                               opts.bhtResetPolicy);
+    const BhtNarrowing bht_width(opts.bhtResetPolicy, row_bits);
 
     auto row_of = [&](std::size_t i) -> std::uint64_t {
         switch (kind) {
@@ -138,15 +130,15 @@ analyzeInterference(const PreparedTrace &trace, SchemeKind kind,
           case SchemeKind::PAsPerfect:
             return trace.selfHistory(i);
           case SchemeKind::Path:
+            return path[i];
           case SchemeKind::PAsFinite:
-            return aux[i];
+            return bht.at(i, bht_width);
           case SchemeKind::Tage:
           case SchemeKind::Perceptron:
             break; // handled by the model path above
         }
         bpsim_panic("unreachable scheme kind");
     };
-    (void)use_aux;
 
     std::vector<TwoBitCounter> shared(
         std::size_t{1} << (row_bits + col_bits));

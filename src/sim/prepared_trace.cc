@@ -7,15 +7,13 @@
 
 namespace bpsim {
 
-PreparedTrace::PreparedTrace(const MemoryTrace &trace,
-                             bool need_path_history)
+PreparedTrace::PreparedTrace(const MemoryTrace &trace)
     : name_(trace.name())
 {
     std::size_t n = trace.conditionalCount();
     pcs.reserve(n);
     wordBits_.reserve(n);
-    if (need_path_history)
-        succBits_.reserve(n);
+    succBits_.reserve(n);
     takenBits_.reserve(n / 64 + 1);
     ghist.reserve(n);
     shist.reserve(n);
@@ -32,14 +30,12 @@ PreparedTrace::PreparedTrace(const MemoryTrace &trace,
         pcs.push_back(rec.pc);
         wordBits_.push_back(static_cast<std::uint16_t>(
             bits(wordIndex(rec.pc), 16)));
-        if (need_path_history) {
-            // The successor already folds in the outcome, so the path
-            // column replaces the full 8-byte target address with the
-            // only bits pathHistoryStream can ever shift in.
-            const Addr successor = rec.taken ? rec.target : rec.pc + 4;
-            succBits_.push_back(static_cast<std::uint16_t>(
-                bits(wordIndex(successor), 16)));
-        }
+        // The successor already folds in the outcome, so the path
+        // column replaces the full 8-byte target address with the only
+        // bits pathHistoryStream can ever shift in.
+        const Addr successor = rec.taken ? rec.target : rec.pc + 4;
+        succBits_.push_back(static_cast<std::uint16_t>(
+            bits(wordIndex(successor), 16)));
         if ((k & 63) == 0)
             takenBits_.push_back(0);
         if (rec.taken)
@@ -73,8 +69,6 @@ PreparedTrace::pathHistoryStream(unsigned bits_per_target) const
 {
     bpsim_assert(bits_per_target >= 1 && bits_per_target <= 16,
                  "bits per target out of range");
-    bpsim_assert(hasPathColumn(),
-                 "trace was prepared without the path column");
     std::vector<std::uint64_t> out;
     out.reserve(size());
     std::uint64_t reg = 0;
@@ -86,21 +80,21 @@ PreparedTrace::pathHistoryStream(unsigned bits_per_target) const
     return out;
 }
 
-std::vector<std::uint64_t>
-PreparedTrace::bhtHistoryStream(std::size_t entries, unsigned assoc,
-                                unsigned history_bits,
-                                double *miss_rate_out,
-                                BhtResetPolicy policy) const
+BhtHistory
+PreparedTrace::bhtHistory(std::size_t entries, unsigned assoc,
+                          BhtResetPolicy policy) const
 {
-    SetAssocBht bht(entries, assoc, history_bits, policy);
-    std::vector<std::uint64_t> out;
-    out.reserve(size());
+    SetAssocBht bht(entries, assoc, 64, policy);
+    BhtHistory out;
+    out.reg.reserve(size());
+    out.age.reserve(size());
     for (std::size_t i = 0; i < size(); ++i) {
-        out.push_back(bht.visit(pcs[i]).history);
+        const BhtLookup hit = bht.visit(pcs[i]);
+        out.reg.push_back(hit.history);
+        out.age.push_back(static_cast<std::uint8_t>(hit.age));
         bht.recordOutcome(pcs[i], taken(i));
     }
-    if (miss_rate_out)
-        *miss_rate_out = bht.missRate();
+    out.missRate = bht.missRate();
     return out;
 }
 

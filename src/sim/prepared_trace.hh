@@ -13,8 +13,10 @@
  *  - the per-branch self history before each branch (perfect first
  *    level: one stream serves every row width, since narrower registers
  *    are the low bits of wider ones);
- *  - finite-BHT self history (per BHT configuration and row width,
- *    because the 0xC3FF reset prefix differs by width).
+ *  - finite-BHT self history (per BHT configuration): one 64-bit pass
+ *    records each branch's register and the outcomes shifted in since
+ *    its entry's last reset, from which BhtNarrowing derives the
+ *    register of any width, reset prefix included.
  *
  * Column layout is sized for replay throughput: outcomes are a packed
  * bit stream (one bit per branch, consumed 64 branches at a time by the
@@ -26,8 +28,8 @@
  * bytesPerBranch() reports the resulting resident footprint so tests
  * can pin it.
  *
- * A test (test_sweep_equivalence) pins the equivalence between this fast
- * path and the online TwoLevelPredictor.
+ * A test (SweepEquivalence, test_sweep.cc) pins the equivalence
+ * between this fast path and the online TwoLevelPredictor.
  */
 
 #ifndef BPSIM_SIM_PREPARED_TRACE_HH
@@ -43,19 +45,33 @@
 
 namespace bpsim {
 
+/**
+ * The finite-BHT self history of every branch, built by one pass of a
+ * 64-bit SetAssocBht: 9 bytes per branch serve every register width.
+ */
+struct BhtHistory
+{
+    /** 64-bit history register BEFORE each instance. */
+    std::vector<std::uint64_t> reg;
+    /** BhtLookup::age of each instance (0..64). */
+    std::vector<std::uint8_t> age;
+    /** BHT tag miss rate (identical for every register width). */
+    double missRate = 0.0;
+
+    /** The register before instance @p i at @p width's width. */
+    std::uint64_t
+    at(std::size_t i, const BhtNarrowing &width) const
+    {
+        return width(reg[i], age[i]);
+    }
+};
+
 /** Conditional-branch columns of a trace plus precomputed histories. */
 class PreparedTrace
 {
   public:
-    /**
-     * Extract and precompute from a materialised trace.
-     * @param need_path_history keep the 2-byte successor-bits column
-     *        that feeds pathHistoryStream (only Nair path-scheme
-     *        groups consume it); pass false to drop it when no lane
-     *        needs path history.
-     */
-    explicit PreparedTrace(const MemoryTrace &trace,
-                           bool need_path_history = true);
+    /** Extract and precompute from a materialised trace. */
+    explicit PreparedTrace(const MemoryTrace &trace);
 
     const std::string &name() const { return name_; }
     /** Number of conditional branch instances. */
@@ -94,37 +110,27 @@ class PreparedTrace
     /** Perfect per-branch self history BEFORE instance @p i. */
     std::uint64_t selfHistory(std::size_t i) const { return shist[i]; }
 
-    /** Whether the successor-bits column was kept at construction. */
-    bool hasPathColumn() const { return !succBits_.empty() || size() == 0; }
-
     /**
      * Resident column bytes divided by branch count: 8 (pc) + 2 (word
-     * bits) + 8 (ghist) + 8 (shist) + 1/8 (packed outcome bit) + 2
-     * when the path column is kept.  Zero for an empty trace.
+     * bits) + 2 (successor path bits) + 8 (ghist) + 8 (shist) + 1/8
+     * (packed outcome bit).  Zero for an empty trace.
      */
     double bytesPerBranch() const;
 
     /**
      * Path-history register value before each instance, shifting
-     * @p bits_per_target successor-address bits per branch.  Requires
-     * the path column (need_path_history at construction).
+     * @p bits_per_target successor-address bits per branch.
      */
     std::vector<std::uint64_t>
     pathHistoryStream(unsigned bits_per_target) const;
 
     /**
-     * Self-history stream through a finite BHT.
-     * @param entries BHT entries (power of two)
-     * @param assoc associativity
-     * @param history_bits register width (0xC3FF prefix length)
-     * @param miss_rate_out when non-null, receives the BHT miss rate
+     * Self history through a finite BHT of @p entries entries (power
+     * of two) and associativity @p assoc under @p policy, for every
+     * register width at once.
      */
-    std::vector<std::uint64_t>
-    bhtHistoryStream(std::size_t entries, unsigned assoc,
-                     unsigned history_bits,
-                     double *miss_rate_out = nullptr,
-                     BhtResetPolicy policy =
-                         BhtResetPolicy::C3ffPrefix) const;
+    BhtHistory bhtHistory(std::size_t entries, unsigned assoc,
+                          BhtResetPolicy policy) const;
 
   private:
     std::string name_;

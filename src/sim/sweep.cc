@@ -1,11 +1,8 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <mutex>
-#include <set>
 #include <span>
 #include <type_traits>
 
@@ -569,19 +566,40 @@ struct GroupRun
     /** Per-(segment, lane) counted mispredicts, segment-major. */
     std::vector<std::uint64_t> segMisses;
     std::vector<ConfigResult> aliasOut;
-    /** The first-level stream, looked up once by the group's first
-     *  task to start. */
-    std::once_flag lookup;
-    const std::vector<std::uint64_t> *aux = nullptr;
-    double bhtMissRate = -1.0;
-    /** Tasks not yet finished; the last one releases the stream. */
-    std::atomic<std::size_t> pending{0};
 };
 
-/** Run @p task's lanes with the row and pattern sources of @p kind. */
+/**
+ * A sweep's first-level inputs, built once before its grid and read by
+ * every task: the path-history stream when a Path group runs, and the
+ * one BHT history every PAsFinite row width derives from.
+ */
+struct FirstLevel
+{
+    std::vector<std::uint64_t> path;
+    BhtHistory bht;
+
+    FirstLevel(const PreparedTrace &t, const SweepOptions &opts,
+               const std::vector<FusedGroup> &groups)
+    {
+        const auto planned = [&](SchemeKind kind) {
+            return std::any_of(groups.begin(), groups.end(),
+                               [kind](const FusedGroup &g) {
+                                   return g.kind == kind;
+                               });
+        };
+        if (planned(SchemeKind::Path))
+            path = t.pathHistoryStream(opts.pathBitsPerTarget);
+        if (planned(SchemeKind::PAsFinite))
+            bht = t.bhtHistory(opts.bhtEntries, opts.bhtAssoc,
+                               opts.bhtResetPolicy);
+    }
+};
+
+/** Run @p task's lanes with the row and pattern sources of @p group. */
 void
 replayGroupTask(const PreparedTrace &t, const SweepOptions &opts,
-                SchemeKind kind, const GroupRun &run, const LaneTask &task,
+                const FirstLevel &in, const FusedGroup &group,
+                const GroupRun &run, const LaneTask &task,
                 SimdTarget target)
 {
     const auto global_history = [&](std::size_t i) {
@@ -590,10 +608,9 @@ replayGroupTask(const PreparedTrace &t, const SweepOptions &opts,
     const auto self_history = [&](std::size_t i) {
         return t.selfHistory(i);
     };
-    const auto aux_stream = [&](std::size_t i) { return (*run.aux)[i]; };
     const bool narrow = run.narrow;
 
-    switch (kind) {
+    switch (group.kind) {
       case SchemeKind::AddressIndexed:
         replayFusedLanes(t, task, narrow, target,
                          [](std::size_t) { return std::uint64_t{0}; },
@@ -614,23 +631,33 @@ replayGroupTask(const PreparedTrace &t, const SweepOptions &opts,
                          global_history);
         break;
       case SchemeKind::Path:
-        bpsim_assert(run.aux, "fused path group needs a history stream");
-        replayFusedLanes(t, task, narrow, target, aux_stream, NoPattern{});
+        replayFusedLanes(t, task, narrow, target,
+                         [&](std::size_t i) { return in.path[i]; },
+                         NoPattern{});
         break;
       case SchemeKind::PAsPerfect:
         replayFusedLanes(t, task, narrow, target, self_history,
                          self_history);
         break;
-      case SchemeKind::PAsFinite:
-        bpsim_assert(run.aux, "fused finite-PAs group needs a BHT stream");
-        replayFusedLanes(t, task, narrow, target, aux_stream, aux_stream);
+      case SchemeKind::PAsFinite: {
+        // Rows are the group's width of the shared BHT history; the
+        // task tabulates that width's reset prefix once.
+        const BhtNarrowing width(opts.bhtResetPolicy, group.streamRowBits);
+        const auto bht_history = [&](std::size_t i) {
+            return in.bht.at(i, width);
+        };
+        replayFusedLanes(t, task, narrow, target, bht_history, bht_history);
         break;
+      }
       case SchemeKind::Tage:
       case SchemeKind::Perceptron:
-        replayModelLanes(t, opts, kind == SchemeKind::Tage, task, target);
+        replayModelLanes(t, opts, group.kind == SchemeKind::Tage, task,
+                         target);
         break;
     }
 }
+
+} // namespace
 
 /**
  * The sweep scheduler: every group runs as one flat task grid, groups
@@ -646,21 +673,24 @@ replayGroupTask(const PreparedTrace &t, const SweepOptions &opts,
  * cold state, replays an uncounted warm-up window of segmentWarmup
  * branches before its range, then counts its own range; the per-(lane,
  * segment) counts are summed in segment order.  Segment boundaries
- * depend only on (trace length, @p segments, warmup), so speculative
- * results are deterministic and independent of shard/worker counts;
- * one segment replays [0, n) cold-started exactly like a serial pass.
+ * depend only on (trace length, resolveSegments(), warmup), so
+ * speculative results are deterministic and independent of
+ * shard/worker counts; one segment replays [0, n) cold-started exactly
+ * like a serial pass.
  * Alias groups always run one segment.
  *
- * Tasks are ordered group-major, so buckets drain in plan order; the
- * last task of a group reports it to StreamCache::groupFinished().
+ * The first-level inputs are built serially before the grid and
+ * dropped on return; tasks are ordered group-major, so groups drain in
+ * plan order.
  */
 void
-runGrid(const std::vector<FusedGroup> &groups,
-        const std::vector<ConfigJob> &jobs, StreamCache &cache,
-        ConfigResult *slots, KernelTelemetry *telemetry, unsigned segments)
+runFusedGroups(const PreparedTrace &t, const SweepOptions &opts,
+               const std::vector<FusedGroup> &groups,
+               const std::vector<ConfigJob> &jobs, ConfigResult *slots,
+               KernelTelemetry *telemetry)
 {
-    const PreparedTrace &t = cache.trace();
-    const SweepOptions &opts = cache.options();
+    const FirstLevel in(t, opts, groups);
+    const unsigned segments = resolveSegments(opts);
     const SimdTarget target = resolveSimdTarget(opts.simd);
     const unsigned threads = ThreadPool::resolveThreads(opts.threads);
     const std::size_t n = t.size();
@@ -706,7 +736,6 @@ runGrid(const std::vector<FusedGroup> &groups,
         run.firstTask = tasks;
         run.segMisses.assign(run.segs * run.lanes.size(), 0);
         run.aliasOut.resize(run.alias ? run.lanes.size() : 0);
-        run.pending = run.shards * run.segs;
         tasks += run.shards * run.segs;
         max_segs = std::max(max_segs, run.segs);
     }
@@ -736,11 +765,6 @@ runGrid(const std::vector<FusedGroup> &groups,
         KernelTelemetry &tel = task_tel[task_idx];
         tel.warmupBranches += seg_lo - warm_lo;
 
-        std::call_once(run.lookup, [&] {
-            run.aux = cache.stream(group.kind, group.streamRowBits);
-            if (group.kind == SchemeKind::PAsFinite)
-                run.bhtMissRate = cache.bhtMissRate(group.streamRowBits);
-        });
         const LaneTask task{
             std::span<const LaneSpec>(run.lanes).subspan(lane_lo,
                                                          lane_hi - lane_lo),
@@ -750,12 +774,10 @@ runGrid(const std::vector<FusedGroup> &groups,
             run.segMisses.data() + k * lane_count + lane_lo,
             run.alias ? run.aliasOut.data() + lane_lo : nullptr,
             tel};
-        replayGroupTask(t, opts, group.kind, run, task, target);
+        replayGroupTask(t, opts, in, group, run, task, target);
         tel.busySeconds += std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
-        if (run.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            cache.groupFinished(group);
     };
 
     // Executors: `threads` sizes the shard dimension, and a
@@ -793,7 +815,7 @@ runGrid(const std::vector<FusedGroup> &groups,
                 n ? static_cast<double>(total) / static_cast<double>(n)
                   : 0.0;
             if (groups[g].kind == SchemeKind::PAsFinite)
-                out.bhtMissRate = run.bhtMissRate;
+                out.bhtMissRate = in.bht.missRate;
         }
         if (isModelScheme(groups[g].kind)) {
             ++counters.modelGroups;
@@ -816,8 +838,6 @@ runGrid(const std::vector<FusedGroup> &groups,
     if (telemetry)
         telemetry->merge(counters);
 }
-
-} // namespace
 
 void
 KernelTelemetry::merge(const KernelTelemetry &other)
@@ -1026,198 +1046,6 @@ planFusedGroups(const std::vector<ConfigJob> &jobs)
     return groups;
 }
 
-StreamCache::StreamCache(const PreparedTrace &trace,
-                         const SweepOptions &opts)
-    : trace_(trace), opts_(opts)
-{
-}
-
-const std::vector<std::uint64_t> &
-StreamCache::pathStreamLocked()
-{
-    if (!path_) {
-        path_ = trace_.pathHistoryStream(opts_.pathBitsPerTarget);
-        ++streamBuilds_;
-        noteStreamResidentLocked();
-    }
-    return *path_;
-}
-
-const StreamCache::BhtStream &
-StreamCache::bhtStreamLocked(unsigned row_bits)
-{
-    auto it = bht_.find(row_bits);
-    if (it == bht_.end() || it->second.released) {
-        BhtStream built;
-        built.stream = trace_.bhtHistoryStream(
-            opts_.bhtEntries, opts_.bhtAssoc, row_bits,
-            &built.missRate, opts_.bhtResetPolicy);
-        ++streamBuilds_;
-        noteStreamResidentLocked();
-        it = bht_.insert_or_assign(row_bits, std::move(built)).first;
-    }
-    return it->second;
-}
-
-void
-StreamCache::noteStreamResidentLocked()
-{
-    ++residentStreams_;
-    peakResidentStreams_ =
-        std::max(peakResidentStreams_, residentStreams_);
-}
-
-void
-StreamCache::prepare(const std::vector<ConfigJob> &jobs,
-                     unsigned threads)
-{
-    bool need_path = false;
-    std::set<unsigned> widths;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const ConfigJob &job : jobs) {
-            if (job.kind == SchemeKind::Path && !path_) {
-                need_path = true;
-            } else if (job.kind == SchemeKind::PAsFinite) {
-                auto it = bht_.find(job.rowBits);
-                if (it == bht_.end() || it->second.released)
-                    widths.insert(job.rowBits);
-            }
-        }
-    }
-
-    std::vector<std::function<void()>> builds;
-    if (need_path) {
-        builds.push_back([this] {
-            auto stream =
-                trace_.pathHistoryStream(opts_.pathBitsPerTarget);
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++streamBuilds_;
-            if (!path_) {
-                path_ = std::move(stream);
-                noteStreamResidentLocked();
-            }
-        });
-    }
-    for (unsigned width : widths) {
-        builds.push_back([this, width] {
-            BhtStream built;
-            built.stream = trace_.bhtHistoryStream(
-                opts_.bhtEntries, opts_.bhtAssoc, width,
-                &built.missRate, opts_.bhtResetPolicy);
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++streamBuilds_;
-            noteStreamResidentLocked();
-            bht_.insert_or_assign(width, std::move(built));
-        });
-    }
-
-    if (!builds.empty()) {
-        if (threads <= 1 || builds.size() == 1) {
-            for (auto &build : builds)
-                build();
-        } else {
-            ThreadPool::shared().parallelFor(
-                builds.size(), threads,
-                [&](std::size_t i) { builds[i](); });
-        }
-    }
-}
-
-const std::vector<std::uint64_t> *
-StreamCache::stream(SchemeKind kind, unsigned row_bits)
-{
-    // One short lock per group, not per branch.
-    if (kind == SchemeKind::Path) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return &pathStreamLocked();
-    }
-    if (kind == SchemeKind::PAsFinite) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return &bhtStreamLocked(row_bits).stream;
-    }
-    return nullptr;
-}
-
-double
-StreamCache::bhtMissRate(unsigned row_bits)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    // The rate is recorded at build time and survives release; only
-    // build when the entry has never been built at all.
-    auto it = bht_.find(row_bits);
-    if (it != bht_.end())
-        return it->second.missRate;
-    return bhtStreamLocked(row_bits).missRate;
-}
-
-std::size_t
-StreamCache::streamBuilds() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return streamBuilds_;
-}
-
-double
-StreamCache::sweepBhtMissRate() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bht_.empty() ? -1.0 : bht_.rbegin()->second.missRate;
-}
-
-void
-StreamCache::planRelease()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    release_ = true;
-}
-
-void
-StreamCache::groupFinished(const FusedGroup &group)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!release_)
-        return;
-    if (group.kind == SchemeKind::Path && path_) {
-        path_.reset();
-        --residentStreams_;
-        return;
-    }
-    if (group.kind != SchemeKind::PAsFinite)
-        return;
-    auto it = bht_.find(group.streamRowBits);
-    if (it != bht_.end() && !it->second.released) {
-        // Free the buffer, keep the node: missRate stays readable.
-        it->second.stream.clear();
-        it->second.stream.shrink_to_fit();
-        it->second.released = true;
-        --residentStreams_;
-    }
-}
-
-std::size_t
-StreamCache::residentStreams() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return residentStreams_;
-}
-
-std::size_t
-StreamCache::peakResidentStreams() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return peakResidentStreams_;
-}
-
-void
-runFusedGroups(const std::vector<FusedGroup> &groups,
-               const std::vector<ConfigJob> &jobs, StreamCache &cache,
-               ConfigResult *slots, KernelTelemetry *telemetry)
-{
-    runGrid(groups, jobs, cache, slots, telemetry,
-            resolveSegments(cache.options()));
-}
-
 SweepResult::SweepResult(const std::string &scheme_name,
                          const std::string &trace_name)
     : misprediction(scheme_name + " misprediction: " + trace_name),
@@ -1232,25 +1060,14 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
 {
     SweepResult result(schemeKindName(kind), trace.name());
 
-    // Plan: enumerate the space, group it by first-level stream, and
-    // precompute shared inputs.  Serial sweeps skip the eager stream
-    // prepare: groups drain one at a time, so lazy builds plus release
-    // after each group keep at most the stream the current group needs
-    // resident.  Parallel sweeps still prepare up front (concurrent
-    // groups need their streams simultaneously) and release as groups
-    // drain.
+    // Plan: enumerate the space and group it by first-level stream.
     const std::vector<ConfigJob> jobs = planSweep(kind, opts);
     const std::vector<FusedGroup> groups = planFusedGroups(jobs);
-    const unsigned threads = ThreadPool::resolveThreads(opts.threads);
-    StreamCache cache(trace, opts);
-    if (threads > 1)
-        cache.prepare(jobs, threads);
-    cache.planRelease();
 
     // Execute: one task grid; every task writes only its own lanes'
     // slots, so placement stays deterministic.
     std::vector<ConfigResult> slots(jobs.size());
-    runFusedGroups(groups, jobs, cache, slots.data(), &result.kernel);
+    runFusedGroups(trace, opts, groups, jobs, slots.data(), &result.kernel);
 
     // Merge in plan order: bit-identical to the serial sweep.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -1264,14 +1081,15 @@ sweepScheme(const PreparedTrace &trace, SchemeKind kind,
                                 slots[i].harmlessFraction);
         }
     }
-    if (kind == SchemeKind::PAsFinite)
-        result.bhtMissRate = cache.sweepBhtMissRate();
+    if (kind == SchemeKind::PAsFinite && !slots.empty())
+        result.bhtMissRate = slots.front().bhtMissRate;
     return result;
 }
 
 ConfigResult
-simulateConfig(StreamCache &cache, SchemeKind kind, unsigned row_bits,
-               unsigned col_bits)
+simulateConfig(const PreparedTrace &trace, SchemeKind kind,
+               unsigned row_bits, unsigned col_bits,
+               const SweepOptions &opts)
 {
     bpsim_assert(kind != SchemeKind::AddressIndexed || row_bits == 0,
                  "address-indexed tables have no rows");
@@ -1280,18 +1098,11 @@ simulateConfig(StreamCache &cache, SchemeKind kind, unsigned row_bits,
     // apply to a single point.
     const std::vector<ConfigJob> jobs{
         ConfigJob{kind, row_bits + col_bits, row_bits, col_bits}};
+    SweepOptions exact = opts;
+    exact.segments = 1;
     ConfigResult out;
-    runGrid(planFusedGroups(jobs), jobs, cache, &out, nullptr, 1);
+    runFusedGroups(trace, exact, planFusedGroups(jobs), jobs, &out);
     return out;
-}
-
-ConfigResult
-simulateConfig(const PreparedTrace &trace, SchemeKind kind,
-               unsigned row_bits, unsigned col_bits,
-               const SweepOptions &opts)
-{
-    StreamCache cache(trace, opts);
-    return simulateConfig(cache, kind, row_bits, col_bits);
 }
 
 } // namespace bpsim

@@ -5,12 +5,13 @@
  * trace.  This is the engine behind Figures 2-10 and Table 3.
  *
  * Sweeps run in two phases.  The *plan* phase (planSweep) enumerates the
- * configuration space into ConfigJobs, planFusedGroups groups them by
- * the first-level input stream they share (one group per stream), and
- * a StreamCache holds every shared immutable input (the path-history
- * stream and the per-row-width BHT streams with their miss rates).
- * The *execute* phase (runFusedGroups) runs the groups as one flat
- * task grid, groups x lane shards x trace segments, on a single
+ * configuration space into ConfigJobs and planFusedGroups groups them
+ * by the first-level input stream they share (one group per stream).
+ * The *execute* phase (runFusedGroups) first builds the sweep's shared
+ * immutable first-level inputs, once and serially -- the path-history
+ * stream, and one 64-bit BHT history from which every PAsFinite row
+ * width derives its rows -- then runs the groups as one flat task grid,
+ * groups x lane shards x trace segments, on a single
  * ThreadPool::parallelFor (see DESIGN.md "Segment-parallel replay"):
  *
  *  - a task replays a contiguous run of one group's lanes -- all of
@@ -46,9 +47,6 @@
 #define BPSIM_SIM_SWEEP_HH
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <variant>
 #include <vector>
 
@@ -453,9 +451,10 @@ struct FusedGroup
 {
     SchemeKind kind = SchemeKind::GAs;
     /**
-     * Stream key for StreamCache::stream(): the shared BHT row width
-     * for PAsFinite groups, 0 for every other scheme (whose streams,
-     * when they have one at all, are row-width independent).
+     * PAsFinite groups: the row width every member reads, i.e. the
+     * BHT register width its rows are derived at (the 0xC3FF reset
+     * prefix differs by width).  0 for every other scheme, whose
+     * first-level inputs are row-width independent.
      */
     unsigned streamRowBits = 0;
     /** Member jobs, as indices into the planned job vector. */
@@ -474,119 +473,22 @@ std::vector<FusedGroup>
 planFusedGroups(const std::vector<ConfigJob> &jobs);
 
 /**
- * Shared immutable first-level inputs for one (trace, options) pair:
- * the path-history stream and the finite-BHT history streams (one per
- * row width, because the 0xC3FF reset prefix differs by width) with
- * their miss rates.
- *
- * prepare() builds every stream a job list needs up front, in
- * parallel when asked; lookups the cache cannot answer build lazily.
- * Every lookup takes the cache's lock, which the sweep grid does once
- * per group, never per branch.  Thread-safe.
- */
-class StreamCache
-{
-  public:
-    StreamCache(const PreparedTrace &trace, const SweepOptions &opts);
-
-    const PreparedTrace &trace() const { return trace_; }
-    const SweepOptions &options() const { return opts_; }
-
-    /** Precompute the streams @p jobs need, @p threads at a time. */
-    void prepare(const std::vector<ConfigJob> &jobs, unsigned threads);
-
-    /**
-     * First-level stream feeding a job's row index, or nullptr for the
-     * schemes that index rows straight from the prepared trace.  Built
-     * (or rebuilt, after a release) on demand.
-     */
-    const std::vector<std::uint64_t> *stream(SchemeKind kind,
-                                             unsigned row_bits);
-
-    /** BHT miss rate observed building the width-@p row_bits stream. */
-    double bhtMissRate(unsigned row_bits);
-
-    /**
-     * Number of first-level streams computed so far (path stream plus
-     * one per distinct BHT row width).  Repeated probes of the same
-     * configuration must not grow this -- the reuse invariant the
-     * differential tests pin.
-     */
-    std::size_t streamBuilds() const;
-
-    /**
-     * The miss rate a whole-sweep result reports: the widest stream
-     * built so far (all widths measure the same tag misses).  Negative
-     * until a BHT stream exists.  Survives stream release -- the rate
-     * is a scalar recorded at build time, not the buffer.
-     */
-    double sweepBhtMissRate() const;
-
-    /**
-     * Enable release after use: from now on groupFinished() frees the
-     * finished group's stream buffer (a full multi-scheme sweep would
-     * otherwise hold O(schemes x trace) bytes).  Sound for a
-     * planFusedGroups() plan, where each stream has exactly one
-     * consuming group.
-     */
-    void planRelease();
-
-    /**
-     * A group finished executing: after planRelease(), free its
-     * stream.  No-op otherwise, so one-off probes keep reusing their
-     * streams.
-     */
-    void groupFinished(const FusedGroup &group);
-
-    /** First-level stream buffers currently resident. */
-    std::size_t residentStreams() const;
-    /** High-water mark of residentStreams() over the cache lifetime. */
-    std::size_t peakResidentStreams() const;
-
-  private:
-    struct BhtStream
-    {
-        std::vector<std::uint64_t> stream;
-        double missRate = -1.0;
-        /** Buffer freed by groupFinished(); missRate still valid.  A
-         *  later lookup rebuilds the stream (counted as a build). */
-        bool released = false;
-    };
-
-    const std::vector<std::uint64_t> &pathStreamLocked();
-    const BhtStream &bhtStreamLocked(unsigned row_bits);
-    /** Count a freshly built stream toward the resident high-water. */
-    void noteStreamResidentLocked();
-
-    const PreparedTrace &trace_;
-    SweepOptions opts_;
-    mutable std::mutex mutex_;
-    std::optional<std::vector<std::uint64_t>> path_;
-    std::map<unsigned, BhtStream> bht_;
-    std::size_t streamBuilds_ = 0;
-    /** groupFinished() frees streams (planRelease). */
-    bool release_ = false;
-    std::size_t residentStreams_ = 0;
-    std::size_t peakResidentStreams_ = 0;
-};
-
-/**
- * Execute planned groups as one task grid under the cache's options,
- * writing each member job's result into slots[job index]; @p slots
- * addresses the whole planned job vector.  Each group has
- * min(lanes, threads) lane shards and resolveSegments() trace
+ * Execute planned groups as one task grid under @p opts, writing each
+ * member job's result into slots[job index]; @p slots addresses the
+ * whole planned job vector.  The first-level inputs the groups read
+ * are built once, before the grid, and dropped on return.  Each group
+ * has min(lanes, threads) lane shards and resolveSegments() trace
  * segments (one for alias groups).  A 2-bit lane replays its packed
  * pattern table through the lane-batched SIMD kernel
  * (SweepOptions::simd picks the dispatch target); when the options
  * track aliasing, each lane instead replays lane-major beside its own
- * AliasTracker.  A model lane steps a full zoo model.  The last task
- * of each group reports it to StreamCache::groupFinished().  When
+ * AliasTracker.  A model lane steps a full zoo model.  When
  * @p telemetry is non-null the grid's kernel counters are merged into
  * it.
  */
-void runFusedGroups(const std::vector<FusedGroup> &groups,
-                    const std::vector<ConfigJob> &jobs,
-                    StreamCache &cache, ConfigResult *slots,
+void runFusedGroups(const PreparedTrace &trace, const SweepOptions &opts,
+                    const std::vector<FusedGroup> &groups,
+                    const std::vector<ConfigJob> &jobs, ConfigResult *slots,
                     KernelTelemetry *telemetry = nullptr);
 
 /** Surfaces over the whole configuration space of one scheme. */
@@ -614,20 +516,11 @@ SweepResult sweepScheme(const PreparedTrace &trace, SchemeKind kind,
                         const SweepOptions &opts = {});
 
 /**
- * Measure a single configuration (2^row_bits x 2^col_bits) through a
- * caller-held cache, sharing first-level streams across calls.  The
+ * Measure a single configuration (2^row_bits x 2^col_bits).  The
  * configuration runs as a one-job plan on the sweep grid (a fused
  * lane, or a model lane for the zoo), always exactly: `segments` does
- * not apply to a single point.
- */
-ConfigResult simulateConfig(StreamCache &cache, SchemeKind kind,
-                            unsigned row_bits, unsigned col_bits);
-
-/**
- * Measure a single configuration with a transient cache.  Slower per
- * point than the cache-taking overload when called repeatedly (the
- * first-level streams are rebuilt per call); intended for spot checks
- * and tests.
+ * not apply to a single point.  Its first-level inputs are built per
+ * call.
  */
 ConfigResult simulateConfig(const PreparedTrace &trace, SchemeKind kind,
                             unsigned row_bits, unsigned col_bits,

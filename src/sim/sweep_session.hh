@@ -3,7 +3,7 @@
  * The session facade of the engine core.
  *
  * Everything outside src/sim used to drive sweeps by hand: generate a
- * trace, build a PreparedTrace, call sweepScheme/bestConfigTable, and
+ * trace, build a PreparedTrace, call sweepScheme, and
  * rebuild all of it on the next run.  A SweepSession packages that
  * pipeline behind declarative requests:
  *
@@ -228,9 +228,9 @@ class SweepSession
                                const SweepOptions &opts = {});
 
     /**
-     * Table 3 for an interned trace: same rows as bestConfigTable(),
-     * but each underlying scheme sweep routes through the result
-     * cache.  Scheme sweeps run concurrently per Table3Options::threads.
+     * Table 3 for an interned trace: one row per table3Plan() scheme,
+     * reduced by bestConfigRowFromSweep() from a sweep that routes
+     * through the result cache.  Scheme sweeps run concurrently per Table3Options::threads.
      */
     Result<std::vector<BestConfigRow>>
     bestConfigs(const TraceHash &trace, const Table3Options &opts = {});
@@ -238,7 +238,7 @@ class SweepSession
     /**
      * The prepared (sweep-optimised) form of an interned trace,
      * built on first use and shared; for clients that drive
-     * simulateConfig/StreamCache directly.
+     * sweepScheme/simulateConfig directly.
      */
     Result<std::shared_ptr<const PreparedTrace>>
     prepared(const TraceHash &trace);

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/random.hh"
+#include "predictor/bht.hh"
 #include "predictor/factory.hh"
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
@@ -102,11 +103,28 @@ runFused(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
 {
     SweepOptions grid = opts;
     grid.threads = threads;
-    StreamCache cache(t, grid);
-    cache.prepare(jobs, 1);
     std::vector<ConfigResult> slots(jobs.size());
-    runFusedGroups(planFusedGroups(jobs), jobs, cache, slots.data());
+    runFusedGroups(t, grid, planFusedGroups(jobs), jobs, slots.data());
     return slots;
+}
+
+/**
+ * The first-level miss rate of an online BHT at @p job's row width
+ * (negative for schemes without a finite first level).
+ */
+double
+onlineBhtMissRate(const PreparedTrace &t, const ConfigJob &job,
+                  const SweepOptions &opts)
+{
+    if (job.kind != SchemeKind::PAsFinite)
+        return -1.0;
+    SetAssocBht bht(opts.bhtEntries, opts.bhtAssoc, job.rowBits,
+                    opts.bhtResetPolicy);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        bht.visit(t.pc(i));
+        bht.recordOutcome(t.pc(i), t.taken(i));
+    }
+    return bht.missRate();
 }
 
 /**
@@ -212,7 +230,6 @@ TEST(FusedKernelDifferential,
         std::vector<ConfigResult> fused =
             runFused(prepared, jobs, opts, threads);
 
-        StreamCache one_lane_cache(prepared, opts);
         for (std::size_t j = 0; j < jobs.size(); ++j) {
             EXPECT_EQ(fused[j].mispRate,
                       referenceMispRate(refConfigFor(jobs[j], opts),
@@ -226,9 +243,7 @@ TEST(FusedKernelDifferential,
             EXPECT_EQ(fused[j].harmlessFraction, harmless)
                 << schemeKindName(kind) << " round " << round;
             EXPECT_EQ(fused[j].bhtMissRate,
-                      simulateConfig(one_lane_cache, kind,
-                                     jobs[j].rowBits, jobs[j].colBits)
-                          .bhtMissRate)
+                      onlineBhtMissRate(prepared, jobs[j], opts))
                 << schemeKindName(kind) << " round " << round;
         }
     }
@@ -415,10 +430,9 @@ TEST(SweepAliasLanes, FuzzedSweepsMatchReferenceAndOnlinePredictors)
         }
 
         // The one-lane probe goes through the same replay.
-        StreamCache cache(prepared, opts);
         for (std::size_t j = 0; j < jobs.size(); ++j) {
             const ConfigResult one = simulateConfig(
-                cache, kind, jobs[j].rowBits, jobs[j].colBits);
+                prepared, kind, jobs[j].rowBits, jobs[j].colBits, opts);
             EXPECT_EQ(one.mispRate, truth[j].mispRate) << name;
             EXPECT_EQ(one.aliasRate, truth[j].aliasRate) << name;
             EXPECT_EQ(one.harmlessFraction, truth[j].harmlessFraction)

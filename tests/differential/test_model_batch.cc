@@ -111,9 +111,8 @@ std::vector<ConfigResult>
 runGroups(const PreparedTrace &t, const std::vector<ConfigJob> &jobs,
           const SweepOptions &opts)
 {
-    StreamCache cache(t, opts);
     std::vector<ConfigResult> slots(jobs.size());
-    runFusedGroups(planFusedGroups(jobs), jobs, cache, slots.data());
+    runFusedGroups(t, opts, planFusedGroups(jobs), jobs, slots.data());
     return slots;
 }
 
@@ -182,11 +181,10 @@ checkComposition(const MemoryTrace &trace,
     opts.threads = threads;
     std::vector<ConfigResult> batched = runGroups(prepared, jobs, opts);
 
-    StreamCache one_lane_cache(prepared, base);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         const ConfigResult expected =
-            simulateConfig(one_lane_cache, jobs[j].kind,
-                           jobs[j].rowBits, jobs[j].colBits);
+            simulateConfig(prepared, jobs[j].kind, jobs[j].rowBits,
+                           jobs[j].colBits, base);
         EXPECT_EQ(batched[j].mispRate,
                   referenceMispRate(refConfigFor(jobs[j], base), trace))
             << schemeKindName(jobs[j].kind) << " r=" << jobs[j].rowBits

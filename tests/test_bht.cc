@@ -210,6 +210,35 @@ TEST(SetAssocBht, HoldPolicyKeepsVictimHistory)
     EXPECT_EQ(r.history, 0b0001u);
 }
 
+TEST(SetAssocBht, ResetValueIsOneDefinitionPerPolicy)
+{
+    for (unsigned w : {0u, 1u, 4u, 16u, 20u, 64u}) {
+        EXPECT_EQ(bhtResetValue(BhtResetPolicy::C3ffPrefix, w),
+                  c3ffPrefix(w));
+        EXPECT_EQ(bhtResetValue(BhtResetPolicy::Zeros, w), 0u);
+        EXPECT_EQ(bhtResetValue(BhtResetPolicy::Ones, w), mask(w));
+        // Hold installs nothing; 0 is every register's initial value.
+        EXPECT_EQ(bhtResetValue(BhtResetPolicy::Hold, w), 0u);
+    }
+}
+
+TEST(SetAssocBht, AgeCountsOutcomesSinceReset)
+{
+    for (auto policy : {BhtResetPolicy::C3ffPrefix, BhtResetPolicy::Hold}) {
+        SetAssocBht bht(1, 1, 8, policy);
+        EXPECT_EQ(bht.visit(0x100).age, 0u);
+        for (int i = 0; i < 70; ++i)
+            bht.recordOutcome(0x100, i % 3 == 0);
+        // Saturates at 64: every register width is then fully shifted.
+        EXPECT_EQ(bht.visit(0x100).age, 64u);
+        // A miss resets the age with the history; Hold resets neither.
+        const BhtLookup r = bht.visit(0x200);
+        EXPECT_TRUE(r.miss);
+        EXPECT_EQ(r.age, policy == BhtResetPolicy::Hold ? 64u : 0u)
+            << bhtResetPolicyName(policy);
+    }
+}
+
 TEST(SetAssocBht, PolicyNames)
 {
     EXPECT_STREQ(bhtResetPolicyName(BhtResetPolicy::C3ffPrefix),

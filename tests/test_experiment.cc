@@ -6,14 +6,15 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/sweep_session.hh"
 #include "workload/synthetic.hh"
 
 using namespace bpsim;
 
 namespace {
 
-PreparedTrace
-smallPrepared()
+MemoryTrace
+smallTrace()
 {
     WorkloadParams p;
     p.name = "experiment-unit";
@@ -21,8 +22,24 @@ smallPrepared()
     p.staticBranches = 100;
     p.functionCount = 10;
     p.targetConditionals = 20'000;
-    MemoryTrace t = generateTrace(p);
-    return PreparedTrace(t);
+    return generateTrace(p);
+}
+
+PreparedTrace
+smallPrepared()
+{
+    return PreparedTrace(smallTrace());
+}
+
+/** Table 3 rows for the small workload through a memory-only session. */
+std::vector<BestConfigRow>
+bestConfigs(const Table3Options &opts)
+{
+    SweepSession session;
+    const TraceHandle handle = session.internTrace(smallTrace());
+    auto rows = session.bestConfigs(handle.hash, opts);
+    EXPECT_TRUE(rows.ok());
+    return rows.ok() ? rows.value() : std::vector<BestConfigRow>{};
 }
 
 } // namespace
@@ -37,18 +54,21 @@ TEST(Experiment, PaperSweepOptionsMatchFigureAxes)
 
 TEST(Experiment, PrepareProfileProducesConditionalStream)
 {
-    PreparedTrace t = prepareProfile("compress", 50'000);
-    EXPECT_GE(t.size(), 50'000u);
-    EXPECT_EQ(t.name(), "compress");
+    SweepSession session;
+    auto handle = session.internProfile("compress", 50'000);
+    ASSERT_TRUE(handle.ok());
+    auto t = session.prepared(handle.value().hash);
+    ASSERT_TRUE(t.ok());
+    EXPECT_GE(t.value()->size(), 50'000u);
+    EXPECT_EQ(t.value()->name(), "compress");
 }
 
 TEST(Experiment, BestConfigTableHasPaperLineup)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options opts;
     opts.budgetBits = {6, 8};
     opts.bhtSizes = {64, 32};
-    auto rows = bestConfigTable(t, opts);
+    auto rows = bestConfigs(opts);
 
     ASSERT_EQ(rows.size(), 5u); // GAs, gshare, PAs(inf), PAs x2
     EXPECT_EQ(rows[0].scheme, "GAs");
@@ -69,11 +89,10 @@ TEST(Experiment, BestConfigTableHasPaperLineup)
 
 TEST(Experiment, BestConfigGeometryAddsUp)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options opts;
     opts.budgetBits = {7};
     opts.bhtSizes = {64};
-    auto rows = bestConfigTable(t, opts);
+    auto rows = bestConfigs(opts);
     for (const auto &row : rows) {
         ASSERT_TRUE(row.best[0].has_value());
         EXPECT_EQ(row.best[0]->rowBits + row.best[0]->colBits, 7u)
@@ -83,11 +102,10 @@ TEST(Experiment, BestConfigGeometryAddsUp)
 
 TEST(Experiment, FirstLevelMissRatesOnlyForFiniteBht)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options opts;
     opts.budgetBits = {6};
     opts.bhtSizes = {16};
-    auto rows = bestConfigTable(t, opts);
+    auto rows = bestConfigs(opts);
     EXPECT_LT(rows[0].bhtMissRate, 0.0); // GAs: not applicable
     EXPECT_LT(rows[2].bhtMissRate, 0.0); // PAs(inf): not applicable
     EXPECT_GE(rows[3].bhtMissRate, 0.0); // PAs(16): reported
@@ -95,11 +113,10 @@ TEST(Experiment, FirstLevelMissRatesOnlyForFiniteBht)
 
 TEST(Experiment, KiloEntryBhtNamesUseKSuffix)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options opts;
     opts.budgetBits = {6};
     opts.bhtSizes = {1024, 2048, 128};
-    auto rows = bestConfigTable(t, opts);
+    auto rows = bestConfigs(opts);
     EXPECT_EQ(rows[3].scheme, "PAs(1k)");
     EXPECT_EQ(rows[4].scheme, "PAs(2k)");
     EXPECT_EQ(rows[5].scheme, "PAs(128)");
@@ -107,7 +124,6 @@ TEST(Experiment, KiloEntryBhtNamesUseKSuffix)
 
 TEST(Experiment, BestConfigTableIdenticalAcrossThreadCounts)
 {
-    PreparedTrace t = smallPrepared();
     Table3Options serial;
     serial.budgetBits = {6, 8};
     serial.bhtSizes = {64, 32};
@@ -115,8 +131,8 @@ TEST(Experiment, BestConfigTableIdenticalAcrossThreadCounts)
     Table3Options parallel = serial;
     parallel.threads = 4;
 
-    auto rs = bestConfigTable(t, serial);
-    auto rp = bestConfigTable(t, parallel);
+    auto rs = bestConfigs(serial);
+    auto rp = bestConfigs(parallel);
     ASSERT_EQ(rs.size(), rp.size());
     for (std::size_t i = 0; i < rs.size(); ++i) {
         EXPECT_EQ(rs[i].scheme, rp[i].scheme);

@@ -108,33 +108,81 @@ TEST(PreparedTrace, BhtStreamMatchesOnlineBht)
     const unsigned assoc = 4;
     const unsigned bits_ = 7;
     SetAssocBht ref(entries, assoc, bits_);
-    double miss_rate = 0.0;
-    auto stream = t.bhtHistoryStream(entries, assoc, bits_, &miss_rate);
-    ASSERT_EQ(stream.size(), t.size());
+    const BhtHistory hist =
+        t.bhtHistory(entries, assoc, BhtResetPolicy::C3ffPrefix);
+    const BhtNarrowing width(BhtResetPolicy::C3ffPrefix, bits_);
+    ASSERT_EQ(hist.reg.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
-        ASSERT_EQ(stream[i], ref.visit(t.pc(i)).history)
+        ASSERT_EQ(hist.at(i, width), ref.visit(t.pc(i)).history)
             << "instance " << i;
         ref.recordOutcome(t.pc(i), t.taken(i));
     }
-    EXPECT_DOUBLE_EQ(miss_rate, ref.missRate());
+    EXPECT_DOUBLE_EQ(hist.missRate, ref.missRate());
 }
 
 TEST(PreparedTrace, BhtStreamsDifferByHistoryWidth)
 {
-    // The 0xC3FF reset prefix depends on the register width, so streams
-    // for different widths are NOT suffixes of one another.
+    // The 0xC3FF reset prefix depends on the register width, so the
+    // registers derived for different widths are NOT suffixes of one
+    // another: the age column is what makes the derivation exact.
     MemoryTrace raw = smallWorkload(7);
     PreparedTrace t(raw);
-    auto narrow = t.bhtHistoryStream(32, 2, 4);
-    auto wide = t.bhtHistoryStream(32, 2, 12);
+    const BhtHistory hist = t.bhtHistory(32, 2, BhtResetPolicy::C3ffPrefix);
+    const BhtNarrowing narrow(BhtResetPolicy::C3ffPrefix, 4);
+    const BhtNarrowing wide(BhtResetPolicy::C3ffPrefix, 12);
     bool low_bits_differ = false;
     for (std::size_t i = 0; i < t.size(); ++i) {
-        if ((wide[i] & mask(4)) != narrow[i]) {
+        if ((hist.at(i, wide) & mask(4)) != hist.at(i, narrow)) {
             low_bits_differ = true;
             break;
         }
     }
     EXPECT_TRUE(low_bits_differ);
+}
+
+TEST(PreparedTrace, OneBhtPassMatchesPerWidthBhtForEveryPolicy)
+{
+    // One 64-bit BHT pass serves every register width: for each
+    // geometry and reset policy, the register BhtNarrowing derives
+    // for width w must equal an online SetAssocBht built at width w
+    // (its own reset prefix), and the miss rate must match exactly.
+    MemoryTrace raw = smallWorkload(7);
+    PreparedTrace t(raw);
+    struct Geometry
+    {
+        std::size_t entries;
+        unsigned assoc;
+    };
+    std::vector<unsigned> widths;
+    for (unsigned w = 0; w <= 20; ++w)
+        widths.push_back(w);
+    for (unsigned w : {31u, 32u, 63u, 64u})
+        widths.push_back(w);
+    for (const Geometry g : {Geometry{64, 1}, Geometry{64, 4},
+                             Geometry{32, 2}}) {
+        for (BhtResetPolicy policy :
+             {BhtResetPolicy::C3ffPrefix, BhtResetPolicy::Zeros,
+              BhtResetPolicy::Ones, BhtResetPolicy::Hold}) {
+            const BhtHistory hist = t.bhtHistory(g.entries, g.assoc, policy);
+            ASSERT_EQ(hist.reg.size(), t.size());
+            ASSERT_EQ(hist.age.size(), t.size());
+            for (unsigned w : widths) {
+                const BhtNarrowing width(policy, w);
+                SetAssocBht ref(g.entries, g.assoc, w, policy);
+                for (std::size_t i = 0; i < t.size(); ++i) {
+                    ASSERT_EQ(hist.at(i, width),
+                              ref.visit(t.pc(i)).history)
+                        << bhtResetPolicyName(policy) << " " << g.entries
+                        << "/" << g.assoc << " width " << w
+                        << " instance " << i;
+                    ref.recordOutcome(t.pc(i), t.taken(i));
+                }
+                EXPECT_EQ(hist.missRate, ref.missRate())
+                    << bhtResetPolicyName(policy) << " " << g.entries
+                    << "/" << g.assoc << " width " << w;
+            }
+        }
+    }
 }
 
 TEST(PreparedTrace, EmptyTrace)
@@ -143,7 +191,10 @@ TEST(PreparedTrace, EmptyTrace)
     PreparedTrace t(raw);
     EXPECT_EQ(t.size(), 0u);
     EXPECT_TRUE(t.pathHistoryStream(2).empty());
-    EXPECT_TRUE(t.bhtHistoryStream(16, 4, 4).empty());
+    const BhtHistory bht = t.bhtHistory(16, 4, BhtResetPolicy::C3ffPrefix);
+    EXPECT_TRUE(bht.reg.empty());
+    EXPECT_TRUE(bht.age.empty());
+    EXPECT_DOUBLE_EQ(bht.missRate, 0.0);
     EXPECT_DOUBLE_EQ(t.bytesPerBranch(), 0.0);
 }
 
@@ -170,26 +221,9 @@ TEST(PreparedTrace, BytesPerBranchReflectsPackedColumns)
     // BIT + 2 bytes of successor path bits: ~28.13, not the 33 of the
     // old layout with byte-wide outcomes and 8-byte targets.
     MemoryTrace raw = smallWorkload();
-    PreparedTrace with_path(raw);
-    EXPECT_TRUE(with_path.hasPathColumn());
-    EXPECT_GE(with_path.bytesPerBranch(), 28.125);
-    EXPECT_LT(with_path.bytesPerBranch(), 28.2);
-
-    // Dropping the path column saves its 2 bytes per branch; the rest
-    // of the columns are untouched.
-    PreparedTrace without_path(raw, false);
-    EXPECT_FALSE(without_path.hasPathColumn());
-    EXPECT_GE(without_path.bytesPerBranch(), 26.125);
-    EXPECT_LT(without_path.bytesPerBranch(), 26.2);
-    EXPECT_EQ(without_path.size(), with_path.size());
-    for (std::size_t i = 0; i < without_path.size(); i += 97) {
-        ASSERT_EQ(without_path.pc(i), with_path.pc(i));
-        ASSERT_EQ(without_path.taken(i), with_path.taken(i));
-        ASSERT_EQ(without_path.globalHistory(i),
-                  with_path.globalHistory(i));
-        ASSERT_EQ(without_path.selfHistory(i),
-                  with_path.selfHistory(i));
-    }
+    PreparedTrace t(raw);
+    EXPECT_GE(t.bytesPerBranch(), 28.125);
+    EXPECT_LT(t.bytesPerBranch(), 28.2);
 }
 
 TEST(PreparedTrace, PathStreamSurvivesSuccessorBitNarrowing)

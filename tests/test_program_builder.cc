@@ -104,8 +104,9 @@ TEST(ProgramBuilder, CallsOnlyTargetEarlierFunctions)
     for (std::size_t f = 0; f < prog.functions.size(); ++f) {
         const auto &fn = prog.functions[f];
         for (std::uint32_t i = fn.entry; i < fn.end; ++i) {
-            if (prog.code[i].op == Op::Call)
+            if (prog.code[i].op == Op::Call) {
                 EXPECT_LT(prog.code[i].target, f) << "slot " << i;
+            }
         }
     }
 }

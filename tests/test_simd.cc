@@ -192,8 +192,9 @@ TEST(Simd, UnsupportedRequestsClampDownNotUp)
     EXPECT_TRUE(resolved == SimdTarget::AVX2 ||
                 resolved == SimdTarget::SSE2 ||
                 resolved == SimdTarget::Scalar);
-    if (simdTargetSupported(SimdTarget::AVX2))
+    if (simdTargetSupported(SimdTarget::AVX2)) {
         EXPECT_EQ(resolved, SimdTarget::AVX2);
+    }
 }
 
 TEST(Simd, BoundaryPatternsBitIdenticalOnEveryTarget)

@@ -10,10 +10,12 @@
 #include <set>
 #include <string>
 
+#include "common/sat_counter.hh"
 #include "predictor/factory.hh"
 #include "predictor/two_level.hh"
 #include "sim/engine.hh"
 #include "sim/sweep.hh"
+#include "stats/aliasing.hh"
 #include "workload/synthetic.hh"
 
 using namespace bpsim;
@@ -317,65 +319,6 @@ TEST(Sweep, SimulateConfigReportsBhtMissRate)
     EXPECT_LT(gas.bhtMissRate, 0.0);
 }
 
-TEST(Sweep, StreamCacheReuseMatchesTransientCalls)
-{
-    PreparedTrace t(sharedWorkload());
-    SweepOptions o;
-    o.trackAliasing = true;
-    o.bhtEntries = 64;
-
-    StreamCache cache(t, o);
-    for (SchemeKind kind :
-         {SchemeKind::Path, SchemeKind::PAsFinite, SchemeKind::GAs}) {
-        for (unsigned r : {3u, 5u}) {
-            ConfigResult cached = simulateConfig(cache, kind, r, 4);
-            ConfigResult fresh = simulateConfig(t, kind, r, 4, o);
-            EXPECT_EQ(cached.mispRate, fresh.mispRate);
-            EXPECT_EQ(cached.aliasRate, fresh.aliasRate);
-            EXPECT_EQ(cached.harmlessFraction, fresh.harmlessFraction);
-            EXPECT_EQ(cached.bhtMissRate, fresh.bhtMissRate);
-        }
-    }
-}
-
-TEST(Sweep, StreamCacheDoesNotRecomputeFirstLevelStreams)
-{
-    PreparedTrace t(sharedWorkload());
-    SweepOptions o;
-    o.bhtEntries = 64;
-
-    StreamCache cache(t, o);
-    EXPECT_EQ(cache.streamBuilds(), 0u);
-
-    // First probes build exactly one stream each: the path stream and
-    // one BHT stream per distinct row width.
-    simulateConfig(cache, SchemeKind::Path, 4, 3);
-    EXPECT_EQ(cache.streamBuilds(), 1u);
-    simulateConfig(cache, SchemeKind::PAsFinite, 4, 3);
-    EXPECT_EQ(cache.streamBuilds(), 2u);
-    simulateConfig(cache, SchemeKind::PAsFinite, 6, 2);
-    EXPECT_EQ(cache.streamBuilds(), 3u);
-
-    // Repeated probes -- same widths, different column splits, plus
-    // schemes that need no first-level stream -- reuse what exists.
-    for (int round = 0; round < 3; ++round) {
-        simulateConfig(cache, SchemeKind::Path, 4, 2);
-        simulateConfig(cache, SchemeKind::PAsFinite, 4, 5);
-        simulateConfig(cache, SchemeKind::PAsFinite, 6, 0);
-        simulateConfig(cache, SchemeKind::GAs, 5, 5);
-        simulateConfig(cache, SchemeKind::Gshare, 5, 5);
-    }
-    EXPECT_EQ(cache.streamBuilds(), 3u);
-
-    // prepare() for already-covered jobs is a no-op too.
-    std::vector<ConfigJob> jobs{
-        ConfigJob{SchemeKind::Path, 7, 4, 3},
-        ConfigJob{SchemeKind::PAsFinite, 7, 6, 1},
-    };
-    cache.prepare(jobs, 2);
-    EXPECT_EQ(cache.streamBuilds(), 3u);
-}
-
 TEST(Sweep, FusedSweepBitIdenticalToPerConfigForEveryScheme)
 {
     // A whole-sweep group (lanes sorted into column classes and
@@ -397,11 +340,10 @@ TEST(Sweep, FusedSweepBitIdenticalToPerConfigForEveryScheme)
             o.bhtEntries = 64;
 
             SweepResult r = sweepScheme(t, kind, o);
-            StreamCache cache(t, o);
             const char *name = schemeKindName(kind);
             for (const ConfigJob &job : planSweep(kind, o)) {
                 const ConfigResult one = simulateConfig(
-                    cache, kind, job.rowBits, job.colBits);
+                    t, kind, job.rowBits, job.colBits, o);
                 EXPECT_EQ(*r.misprediction.at(job.totalBits,
                                               job.rowBits),
                           one.mispRate)
@@ -417,12 +359,102 @@ TEST(Sweep, FusedSweepBitIdenticalToPerConfigForEveryScheme)
                         << name << " r=" << job.rowBits;
                 }
                 if (kind == SchemeKind::PAsFinite) {
-                    EXPECT_EQ(one.bhtMissRate,
-                              cache.bhtMissRate(job.rowBits));
+                    EXPECT_EQ(one.bhtMissRate, r.bhtMissRate);
                 }
             }
-            if (kind == SchemeKind::PAsFinite) {
-                EXPECT_EQ(r.bhtMissRate, cache.sweepBhtMissRate());
+        }
+    }
+}
+
+namespace {
+
+/**
+ * One PAs(bht) configuration replayed through a SetAssocBht of the row
+ * width itself (so its own reset prefix), 2-bit counters and an
+ * AliasTracker -- the classes the online TwoLevelPredictor uses.
+ */
+ConfigResult
+perWidthBhtConfig(const PreparedTrace &t, const SweepOptions &o,
+                  unsigned row_bits, unsigned col_bits)
+{
+    SetAssocBht bht(o.bhtEntries, o.bhtAssoc, row_bits, o.bhtResetPolicy);
+    std::vector<TwoBitCounter> counters(std::size_t{1}
+                                        << (row_bits + col_bits));
+    AliasTracker tracker(counters.size());
+    std::uint64_t misses = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const std::uint64_t row = bht.visit(t.pc(i)).history;
+        const std::size_t idx = static_cast<std::size_t>(
+            (row << col_bits) | bits(wordIndex(t.pc(i)), col_bits));
+        tracker.access(idx, t.pc(i),
+                       row_bits > 0 && row == mask(row_bits));
+        misses += counters[idx].predict() != t.taken(i);
+        counters[idx].update(t.taken(i));
+        bht.recordOutcome(t.pc(i), t.taken(i));
+    }
+    ConfigResult out;
+    out.mispRate = static_cast<double>(misses) /
+                   static_cast<double>(t.size());
+    out.aliasRate = tracker.aliasRate();
+    out.harmlessFraction = tracker.harmlessFraction();
+    out.bhtMissRate = bht.missRate();
+    return out;
+}
+
+} // namespace
+
+TEST(Sweep, FiniteBhtSweepMatchesPerWidthBhtUnderEveryResetPolicy)
+{
+    // Every PAs(bht) row width derives its rows from one 64-bit BHT
+    // pass.  Under every reset policy, with aliasing on and off and at
+    // 1 and 4 threads, each point must equal a replay through a BHT of
+    // its own width.
+    PreparedTrace t(sharedWorkload());
+    for (BhtResetPolicy policy :
+         {BhtResetPolicy::C3ffPrefix, BhtResetPolicy::Zeros,
+          BhtResetPolicy::Ones, BhtResetPolicy::Hold}) {
+        SweepOptions o;
+        o.minTotalBits = 4;
+        o.maxTotalBits = 9;
+        o.bhtEntries = 64;
+        o.bhtAssoc = 4;
+        o.bhtResetPolicy = policy;
+        std::vector<ConfigResult> want;
+        for (const ConfigJob &job : planSweep(SchemeKind::PAsFinite, o))
+            want.push_back(perWidthBhtConfig(t, o, job.rowBits,
+                                             job.colBits));
+        for (bool aliasing : {false, true}) {
+            for (unsigned threads : {1u, 4u}) {
+                o.trackAliasing = aliasing;
+                o.threads = threads;
+                const SweepResult r =
+                    sweepScheme(t, SchemeKind::PAsFinite, o);
+                const std::vector<ConfigJob> jobs =
+                    planSweep(SchemeKind::PAsFinite, o);
+                for (std::size_t i = 0; i < jobs.size(); ++i) {
+                    const ConfigJob &job = jobs[i];
+                    const std::string what =
+                        std::string(bhtResetPolicyName(policy)) +
+                        " alias=" + std::to_string(aliasing) +
+                        " threads=" + std::to_string(threads) + " r=" +
+                        std::to_string(job.rowBits) + " c=" +
+                        std::to_string(job.colBits);
+                    EXPECT_EQ(*r.misprediction.at(job.totalBits,
+                                                  job.rowBits),
+                              want[i].mispRate)
+                        << what;
+                    if (aliasing) {
+                        EXPECT_EQ(*r.aliasing.at(job.totalBits,
+                                                 job.rowBits),
+                                  want[i].aliasRate)
+                            << what;
+                        EXPECT_EQ(*r.harmless.at(job.totalBits,
+                                                 job.rowBits),
+                                  want[i].harmlessFraction)
+                            << what;
+                    }
+                    EXPECT_EQ(r.bhtMissRate, want[i].bhtMissRate) << what;
+                }
             }
         }
     }
@@ -683,79 +715,6 @@ TEST(Sweep, KernelTelemetryTableCoversEveryMember)
         });
     EXPECT_EQ(keys.size(), 24u);
     EXPECT_EQ(members, 18u);
-}
-
-TEST(Sweep, StreamCacheReleasesStreamsAfterLastConsumer)
-{
-    PreparedTrace t(sharedWorkload());
-    SweepOptions o;
-    o.minTotalBits = 4;
-    o.maxTotalBits = 8;
-    o.trackAliasing = false;
-    o.bhtEntries = 64;
-
-    // PAsFinite needs one stream per row width: tiers 4..8 use widths
-    // 0..8, nine streams of 8 bytes per branch each.
-    auto jobs = planSweep(SchemeKind::PAsFinite, o);
-    auto groups = planFusedGroups(jobs);
-    ASSERT_EQ(groups.size(), 9u);
-
-    // Without release, eager preparation keeps all nine resident for
-    // the cache's whole lifetime.
-    {
-        StreamCache eager(t, o);
-        eager.prepare(jobs, 1);
-        EXPECT_EQ(eager.residentStreams(), 9u);
-        EXPECT_EQ(eager.peakResidentStreams(), 9u);
-    }
-
-    // With release and lazy serial execution, a stream dies the moment
-    // its group finishes: peak residency is ONE stream, not nine.
-    StreamCache cache(t, o);
-    cache.planRelease();
-    std::vector<ConfigResult> slots(jobs.size());
-    runFusedGroups(groups, jobs, cache, slots.data());
-    EXPECT_EQ(cache.residentStreams(), 0u);
-    EXPECT_EQ(cache.peakResidentStreams(), 1u);
-    // The sweep-level miss rate is recorded at build time and must
-    // survive the buffers being freed.
-    EXPECT_GT(cache.sweepBhtMissRate(), 0.0);
-
-    // Releasing must not change any result.
-    StreamCache keep(t, o);
-    keep.prepare(jobs, 1);
-    std::vector<ConfigResult> expected(jobs.size());
-    runFusedGroups(groups, jobs, keep, expected.data());
-    EXPECT_EQ(keep.residentStreams(), 9u);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(slots[i].mispRate, expected[i].mispRate) << i;
-        EXPECT_EQ(slots[i].bhtMissRate, expected[i].bhtMissRate) << i;
-    }
-}
-
-TEST(Sweep, ReleasedStreamRebuildsOnLaterLookup)
-{
-    PreparedTrace t(sharedWorkload());
-    SweepOptions o;
-    o.minTotalBits = 5;
-    o.maxTotalBits = 5;
-    o.trackAliasing = false;
-
-    auto jobs = planSweep(SchemeKind::Path, o);
-    StreamCache cache(t, o);
-    cache.planRelease();
-    std::vector<ConfigResult> slots(jobs.size());
-    runFusedGroups(planFusedGroups(jobs), jobs, cache, slots.data());
-    EXPECT_EQ(cache.residentStreams(), 0u);
-    const std::size_t builds = cache.streamBuilds();
-
-    // A post-release lookup transparently rebuilds the stream.
-    const std::vector<std::uint64_t> *stream =
-        cache.stream(SchemeKind::Path, 3);
-    ASSERT_NE(stream, nullptr);
-    EXPECT_EQ(stream->size(), t.size());
-    EXPECT_EQ(cache.streamBuilds(), builds + 1);
-    EXPECT_EQ(cache.residentStreams(), 1u);
 }
 
 TEST(Sweep, SweepAgreesWithSimulateConfig)

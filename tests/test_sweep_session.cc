@@ -3,7 +3,7 @@
  * Tests for the SweepSession facade: cached results are bit-identical
  * to recomputed ones (the differential contract that makes the result
  * cache safe to use at all), disk-warm sessions serve without replay,
- * bestConfigs matches the direct bestConfigTable path, and the cache
+ * bestConfigs matches the direct sweepScheme path, and the cache
  * key discipline separates what must be separated -- and nothing else.
  */
 
@@ -292,10 +292,15 @@ TEST(SweepSession, BestConfigsMatchesBestConfigTable)
     auto rows = session.bestConfigs(handle.value().hash, opts);
     ASSERT_TRUE(rows.ok());
 
+    // The direct path: every table3Plan() scheme swept on its own and
+    // reduced to its row, no session or cache involved.
     PreparedTrace direct(
         generateProfileTrace(kProfile, kBranches));
-    std::vector<BestConfigRow> expected =
-        bestConfigTable(direct, opts);
+    std::vector<BestConfigRow> expected;
+    for (const Table3SchemeSpec &spec : table3Plan(opts))
+        expected.push_back(bestConfigRowFromSweep(
+            spec, sweepScheme(direct, spec.kind, spec.options),
+            opts.budgetBits));
 
     ASSERT_EQ(rows.value().size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {

@@ -129,9 +129,9 @@ TEST(ThreadPool, SerialPathPropagatesExceptionsToo)
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
     // An outer batch whose jobs each run an inner batch on the same
-    // pool -- the bestConfigTable-over-sweepScheme shape.  The caller
-    // always participates in its own batch, so this must complete even
-    // when every worker is occupied by outer jobs.
+    // pool -- the SweepSession::bestConfigs-over-sweepScheme shape.
+    // The caller always participates in its own batch, so this must
+    // complete even when every worker is occupied by outer jobs.
     ThreadPool pool(2);
     constexpr std::size_t outer = 8, inner = 50;
     std::vector<std::atomic<int>> counts(outer);
