@@ -18,6 +18,9 @@
  * cached or not).  Without `cache=`, results are cached in memory
  * for the life of the process, which already dedups repeated sweeps
  * within one bench.
+ *
+ * The perf harnesses (perf_sweep, perf_service) open every JSON report
+ * with the same host fingerprint, written by writeHost().
  */
 
 #ifndef BPSIM_BENCH_BENCH_UTIL_HH
@@ -25,6 +28,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 
@@ -267,6 +271,77 @@ class WallTimer
  * against a threads=1 rerun gives the sweep speedup; the output is
  * identical for any thread count, so the comparison is fair.
  */
+/** @p text with JSON string escapes applied. */
+inline std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    for (char c : text) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        if (static_cast<unsigned char>(c) >= 0x20)
+            out += c;
+    }
+    return out;
+}
+
+/** The CPU model from /proc/cpuinfo, or "unknown". */
+inline std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const std::size_t start = line.find_first_not_of(' ', colon + 1);
+        return start == std::string::npos ? "unknown"
+                                          : line.substr(start);
+    }
+    return "unknown";
+}
+
+/** The compiler this binary was built with. */
+inline const char *
+compilerName()
+{
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#elif defined(__GNUC__)
+    return "gcc " __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
+/**
+ * Write the "host" fingerprint record a perf JSON report opens with:
+ * CPU model, hardware threads, compiler, build type (the
+ * BPSIM_BUILD_TYPE definition the perf targets get from CMake) and
+ * the detected SIMD target.
+ */
+inline void
+writeHost(FILE *json)
+{
+#ifdef BPSIM_BUILD_TYPE
+    const char *build_type = BPSIM_BUILD_TYPE;
+#else
+    const char *build_type = "unknown";
+#endif
+    std::fprintf(json,
+                 "  \"host\": {\"cpu\": \"%s\", \"hardware_threads\": "
+                 "%u,\n   \"compiler\": \"%s\", \"build_type\": "
+                 "\"%s\", \"simd_detected\": \"%s\"},\n",
+                 jsonEscape(cpuModel()).c_str(),
+                 ThreadPool::hardwareThreads(),
+                 jsonEscape(compilerName()).c_str(),
+                 jsonEscape(build_type).c_str(),
+                 simdTargetName(detectSimdTarget()));
+}
+
 inline void
 reportWallClock(const WallTimer &timer, const BenchOptions &opts)
 {

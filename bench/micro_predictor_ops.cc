@@ -207,9 +207,10 @@ zooModelStep(benchmark::State &state, SchemeKind kind)
 /**
  * The batched perceptron inner loop in isolation: a full 8-wide lane
  * batch over a synthetic pre-offset index stream on one dispatch
- * target.  Items processed counts lane-updates, so the rows are
- * directly comparable across targets (same convention as
- * laneBatchReplay).
+ * target.  Only scalar and AVX2 have perceptron kernels (SSE2 targets
+ * run scalar, AVX-512 targets run AVX2), so those are the two rows.
+ * Items processed counts lane-updates, so the rows are directly
+ * comparable across targets (same convention as laneBatchReplay).
  */
 void
 perceptronBatchReplay(benchmark::State &state, SimdTarget target)
@@ -298,6 +299,5 @@ BENCHMARK_CAPTURE(zooModelStep, tage_batched, SchemeKind::Tage);
 BENCHMARK_CAPTURE(zooModelStep, perceptron_batched,
                   SchemeKind::Perceptron);
 BENCHMARK_CAPTURE(perceptronBatchReplay, scalar, SimdTarget::Scalar);
-BENCHMARK_CAPTURE(perceptronBatchReplay, sse2, SimdTarget::SSE2);
 BENCHMARK_CAPTURE(perceptronBatchReplay, avx2, SimdTarget::AVX2);
 BENCHMARK(traceGeneration)->Arg(100'000);

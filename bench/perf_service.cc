@@ -169,6 +169,7 @@ main(int argc, char **argv)
     if (!json)
         bpsim_fatal("cannot write ", json_path);
     std::fprintf(json, "{\n  \"bench\": \"perf_service\",\n");
+    writeHost(json);
     std::fprintf(json, "  \"profile\": \"%s\",\n", profile.c_str());
     std::fprintf(json, "  \"branches\": %llu,\n",
                  static_cast<unsigned long long>(branches));

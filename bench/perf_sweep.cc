@@ -63,7 +63,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -105,72 +104,6 @@ struct SchemeResult
         return fused[0].seconds / m.seconds;
     }
 };
-
-/** @p text with JSON string escapes applied. */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out += c;
-    }
-    return out;
-}
-
-/** The CPU model from /proc/cpuinfo, or "unknown". */
-std::string
-cpuModel()
-{
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("model name", 0) != 0)
-            continue;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string::npos)
-            break;
-        const std::size_t start = line.find_first_not_of(' ', colon + 1);
-        return start == std::string::npos ? "unknown"
-                                          : line.substr(start);
-    }
-    return "unknown";
-}
-
-/** The compiler this binary was built with. */
-const char *
-compilerName()
-{
-#if defined(__clang__)
-    return "clang " __clang_version__;
-#elif defined(__GNUC__)
-    return "gcc " __VERSION__;
-#else
-    return "unknown";
-#endif
-}
-
-/** Write the "host" fingerprint record both JSON reports open with. */
-void
-writeHost(FILE *json)
-{
-#ifdef BPSIM_BUILD_TYPE
-    const char *build_type = BPSIM_BUILD_TYPE;
-#else
-    const char *build_type = "unknown";
-#endif
-    std::fprintf(json,
-                 "  \"host\": {\"cpu\": \"%s\", \"hardware_threads\": "
-                 "%u,\n   \"compiler\": \"%s\", \"build_type\": "
-                 "\"%s\", \"simd_detected\": \"%s\"},\n",
-                 jsonEscape(cpuModel()).c_str(),
-                 ThreadPool::hardwareThreads(),
-                 jsonEscape(compilerName()).c_str(),
-                 jsonEscape(build_type).c_str(),
-                 simdTargetName(detectSimdTarget()));
-}
 
 /**
  * Time one sweep run under @p opts, returning wall seconds.  Routed

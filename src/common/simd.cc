@@ -136,13 +136,14 @@ replayPerceptronBatchScalar(const std::uint32_t *idx,
 #if BPSIM_SIMD_X86
 
 // ---------------------------------------------------------------------
-// SSE2: 4 lanes per 128-bit vector, 32-bit elements.  SSE2 has no
-// per-element variable shifts, so `x << shift` and `x >> shift` for
-// shift in {0,2,4,6} are expressed as multiplies by 1 << shift and
-// 64 >> shift (pmullw is safe: every factor and product fits in the
-// low 16 bits of its 32-bit element, and the zero high halves keep
-// element products from crossing element boundaries).  Table bytes
-// move through scalar loads/stores (no gather before AVX2).
+// SSE2: the 2-bit kernel only, 4 lanes per 128-bit vector, 32-bit
+// elements.  SSE2 has no per-element variable shifts, so `x << shift`
+// and `x >> shift` for shift in {0,2,4,6} are expressed as multiplies
+// by 1 << shift and 64 >> shift (pmullw is safe: every factor and
+// product fits in the low 16 bits of its 32-bit element, and the zero
+// high halves keep element products from crossing element
+// boundaries).  Table bytes move through scalar loads/stores (no
+// gather before AVX2).
 
 /** 4-lane inner body; lanes beyond `live` train the caller's dummy. */
 __attribute__((target("sse2"))) void
@@ -249,132 +250,6 @@ replayLaneBatchSse2(const std::uint32_t *records, std::size_t n,
         }
         replayLanes4Sse2(records, n, bases, masks, misses);
         for (unsigned l = 0; l < live; ++l)
-            batch.misses[l0 + l] += misses[l];
-    }
-}
-
-/**
- * 4-lane perceptron inner body.  Weight bytes move through scalar
- * loads/stores (no gather before AVX2); the dot product, the
- * mispredict/low-confidence train decision and the clamped update run
- * vectorised.  Lanes beyond `live_v` have their indices masked to 0
- * and their train mask forced off, so they only ever READ the caller's
- * dummy bank.
- */
-__attribute__((target("sse2"))) void
-perceptronLanes4Sse2(const std::uint32_t *idx, unsigned tables,
-                     const std::uint8_t *taken, std::size_t n,
-                     std::int8_t *const bases[4],
-                     const std::uint32_t live[4],
-                     const std::int32_t thetas[4],
-                     std::uint64_t misses[4])
-{
-    const __m128i live_v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(live));
-    const __m128i theta_v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(thetas));
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i one = _mm_set1_epi32(1);
-    const __m128i allones = _mm_set1_epi32(-1);
-    // Weights live in [-64, 63] and train by +/-1, so the only
-    // out-of-range sums are exactly kWeightMax + 1 and kWeightMin - 1:
-    // clamping is one compare-and-correct per bound.
-    const __m128i over =
-        _mm_set1_epi32(PerceptronBatch::kWeightMax + 1);
-    const __m128i under =
-        _mm_set1_epi32(PerceptronBatch::kWeightMin - 1);
-
-    alignas(16) std::uint32_t ixa[PerceptronBatch::kMaxTables][4];
-    alignas(16) std::int32_t wa[PerceptronBatch::kMaxTables][4];
-    alignas(16) std::int32_t nb[4];
-    alignas(16) std::uint32_t acc_out[4];
-
-    const std::size_t stride =
-        static_cast<std::size_t>(tables) * PerceptronBatch::kMaxLanes;
-    __m128i acc = zero;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t *row = idx + i * stride;
-        __m128i sum = zero;
-        for (unsigned t = 0; t < tables; ++t) {
-            const __m128i iv = _mm_and_si128(
-                _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                    row + t * PerceptronBatch::kMaxLanes)),
-                live_v);
-            _mm_store_si128(reinterpret_cast<__m128i *>(ixa[t]), iv);
-            // int8 -> int32 sign extension is the scalar load itself.
-            wa[t][0] = bases[0][ixa[t][0]];
-            wa[t][1] = bases[1][ixa[t][1]];
-            wa[t][2] = bases[2][ixa[t][2]];
-            wa[t][3] = bases[3][ixa[t][3]];
-            sum = _mm_add_epi32(
-                sum, _mm_load_si128(
-                         reinterpret_cast<const __m128i *>(wa[t])));
-        }
-        const std::uint32_t tk = taken[i] & 1u;
-        // prediction = (sum >= 0) = NOT sign bit, so
-        // mispredict01 = sign(sum) xor (taken ^ 1).
-        const __m128i miss01 = _mm_xor_si128(
-            _mm_srli_epi32(sum, 31),
-            _mm_set1_epi32(static_cast<int>(tk ^ 1u)));
-        acc = _mm_add_epi32(acc, miss01);
-        // |sum| without SSSE3: (sum ^ s) - s with s = sum >> 31.
-        const __m128i s = _mm_srai_epi32(sum, 31);
-        const __m128i abs = _mm_sub_epi32(_mm_xor_si128(sum, s), s);
-        const __m128i missm = _mm_sub_epi32(zero, miss01);
-        const __m128i lowconf =
-            _mm_xor_si128(_mm_cmpgt_epi32(abs, theta_v), allones);
-        const __m128i trainm = _mm_and_si128(
-            _mm_or_si128(missm, lowconf), live_v);
-        if (_mm_movemask_epi8(trainm) == 0)
-            continue;
-        const __m128i delta = _mm_and_si128(
-            _mm_set1_epi32(tk ? 1 : -1), trainm);
-        for (unsigned t = 0; t < tables; ++t) {
-            __m128i next = _mm_add_epi32(
-                _mm_load_si128(
-                    reinterpret_cast<const __m128i *>(wa[t])),
-                delta);
-            next = _mm_sub_epi32(
-                next,
-                _mm_and_si128(_mm_cmpeq_epi32(next, over), one));
-            next = _mm_add_epi32(
-                next,
-                _mm_and_si128(_mm_cmpeq_epi32(next, under), one));
-            _mm_store_si128(reinterpret_cast<__m128i *>(nb), next);
-            // Untrained lanes store their weight back unchanged --
-            // single-threaded within a task, so the dead store is
-            // cheaper than a branch per lane.
-            bases[0][ixa[t][0]] = static_cast<std::int8_t>(nb[0]);
-            bases[1][ixa[t][1]] = static_cast<std::int8_t>(nb[1]);
-            bases[2][ixa[t][2]] = static_cast<std::int8_t>(nb[2]);
-            bases[3][ixa[t][3]] = static_cast<std::int8_t>(nb[3]);
-        }
-    }
-    _mm_store_si128(reinterpret_cast<__m128i *>(acc_out), acc);
-    for (unsigned l = 0; l < 4; ++l)
-        misses[l] += acc_out[l];
-}
-
-void
-replayPerceptronBatchSse2(const std::uint32_t *idx,
-                          const std::uint8_t *taken, std::size_t n,
-                          PerceptronBatch &batch)
-{
-    for (unsigned l0 = 0; l0 < batch.lanes; l0 += 4) {
-        alignas(16) std::int8_t dummy[8] = {};
-        std::int8_t *bases[4];
-        alignas(16) std::uint32_t live[4];
-        alignas(16) std::int32_t thetas[4];
-        std::uint64_t misses[4] = {};
-        const unsigned live_count = std::min(4u, batch.lanes - l0);
-        for (unsigned l = 0; l < 4; ++l) {
-            bases[l] = l < live_count ? batch.weights[l0 + l] : dummy;
-            live[l] = l < live_count ? 0xFFFFFFFFu : 0u;
-            thetas[l] = l < live_count ? batch.theta[l0 + l] : -1;
-        }
-        perceptronLanes4Sse2(idx + l0, batch.tables, taken, n, bases,
-                             live, thetas, misses);
-        for (unsigned l = 0; l < live_count; ++l)
             batch.misses[l0 + l] += misses[l];
     }
 }
@@ -531,11 +406,11 @@ replayPerceptronBatchAvx2(const std::uint32_t *idx,
 #if defined(BPSIM_HAVE_AVX512)
 
 // ---------------------------------------------------------------------
-// AVX-512: 16 lanes per 512-bit vector.  Addressing mirrors the AVX2
-// perceptron kernel -- two 8-wide vpgatherqd over absolute 64-bit
-// addresses -- and for the 2-bit replay the gathered dword is kept
-// whole (not masked to the low byte) so the
-// update can be written back with vpscatterqd: the counter XOR only
+// AVX-512: the 2-bit kernel only, 16 lanes per 512-bit vector.
+// Addressing mirrors the AVX2 perceptron kernel -- two 8-wide
+// vpgatherqd over absolute 64-bit addresses -- and the gathered dword
+// is kept whole (not masked to the low byte) so the update can be
+// written back with vpscatterqd: the counter XOR only
 // touches bits 0..7 (shift <= 6, 2-bit field), the upper three bytes
 // round-trip unchanged, and because lanes own disjoint tables the
 // 4-byte store never lands in another lane's bytes.  The final table
@@ -656,143 +531,6 @@ replayLaneBatchAvx512(const std::uint32_t *records, std::size_t n,
         }
         replayLanes16Avx512(records, n, bases, masks, misses);
         for (unsigned l = 0; l < live; ++l)
-            batch.misses[l0 + l] += misses[l];
-    }
-}
-
-/**
- * 16-lane perceptron inner body.  Unlike the 2-bit replay, updates
- * CANNOT use vpscatterqd: weights are adjacent int8 bytes, so the
- * 4-byte scatter window would clobber three neighbouring weights --
- * including, when two of a lane's own table indices land within 4
- * bytes of each other, a weight this very branch just trained.
- * Stores stay scalar per byte; everything else is vector, with the
- * train decision carried in mask registers.
- */
-__attribute__((target("avx512f"))) void
-perceptronLanes16Avx512(const std::uint32_t *idx, unsigned tables,
-                        const std::uint8_t *taken, std::size_t n,
-                        std::int8_t *const bases[16],
-                        const std::uint32_t live[16],
-                        const std::int32_t thetas[16],
-                        std::uint64_t misses[16])
-{
-    const __m512i live_v = _mm512_loadu_si512(live);
-    const __m512i theta_v = _mm512_loadu_si512(thetas);
-    const __mmask16 live_k = _mm512_test_epi32_mask(live_v, live_v);
-    const __m512i base_lo = _mm512_set_epi64(
-        reinterpret_cast<long long>(bases[7]),
-        reinterpret_cast<long long>(bases[6]),
-        reinterpret_cast<long long>(bases[5]),
-        reinterpret_cast<long long>(bases[4]),
-        reinterpret_cast<long long>(bases[3]),
-        reinterpret_cast<long long>(bases[2]),
-        reinterpret_cast<long long>(bases[1]),
-        reinterpret_cast<long long>(bases[0]));
-    const __m512i base_hi = _mm512_set_epi64(
-        reinterpret_cast<long long>(bases[15]),
-        reinterpret_cast<long long>(bases[14]),
-        reinterpret_cast<long long>(bases[13]),
-        reinterpret_cast<long long>(bases[12]),
-        reinterpret_cast<long long>(bases[11]),
-        reinterpret_cast<long long>(bases[10]),
-        reinterpret_cast<long long>(bases[9]),
-        reinterpret_cast<long long>(bases[8]));
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i over =
-        _mm512_set1_epi32(PerceptronBatch::kWeightMax + 1);
-    const __m512i under =
-        _mm512_set1_epi32(PerceptronBatch::kWeightMin - 1);
-
-    alignas(64) std::uint32_t ixa[PerceptronBatch::kMaxTables][16];
-    alignas(64) std::int32_t wa[PerceptronBatch::kMaxTables][16];
-    alignas(64) std::int32_t nb[16];
-    alignas(64) std::uint32_t acc_out[16];
-
-    const std::size_t stride =
-        static_cast<std::size_t>(tables) * PerceptronBatch::kMaxLanes;
-    __m512i acc = zero;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t *row = idx + i * stride;
-        __m512i sum = zero;
-        for (unsigned t = 0; t < tables; ++t) {
-            const __m512i iv = _mm512_and_si512(
-                _mm512_loadu_si512(
-                    row + t * PerceptronBatch::kMaxLanes),
-                live_v);
-            _mm512_store_si512(ixa[t], iv);
-            const __m512i addr_lo = _mm512_add_epi64(
-                base_lo, _mm512_cvtepu32_epi64(
-                             _mm512_castsi512_si256(iv)));
-            const __m512i addr_hi = _mm512_add_epi64(
-                base_hi, _mm512_cvtepu32_epi64(
-                             _mm512_extracti64x4_epi64(iv, 1)));
-            const __m256i g_lo = _mm512_i64gather_epi32(
-                addr_lo, static_cast<const int *>(nullptr), 1);
-            const __m256i g_hi = _mm512_i64gather_epi32(
-                addr_hi, static_cast<const int *>(nullptr), 1);
-            const __m512i w = _mm512_srai_epi32(
-                _mm512_slli_epi32(
-                    _mm512_inserti64x4(_mm512_castsi256_si512(g_lo),
-                                       g_hi, 1),
-                    24),
-                24);
-            _mm512_store_si512(wa[t], w);
-            sum = _mm512_add_epi32(sum, w);
-        }
-        const std::uint32_t tk = taken[i] & 1u;
-        const __m512i miss01 = _mm512_xor_si512(
-            _mm512_srli_epi32(sum, 31),
-            _mm512_set1_epi32(static_cast<int>(tk ^ 1u)));
-        acc = _mm512_add_epi32(acc, miss01);
-        const __mmask16 missk =
-            _mm512_test_epi32_mask(miss01, miss01);
-        const __mmask16 lowk =
-            _mm512_cmple_epi32_mask(_mm512_abs_epi32(sum), theta_v);
-        const __mmask16 traink = (missk | lowk) & live_k;
-        if (traink == 0)
-            continue;
-        const __m512i delta = _mm512_maskz_mov_epi32(
-            traink, _mm512_set1_epi32(tk ? 1 : -1));
-        for (unsigned t = 0; t < tables; ++t) {
-            __m512i next = _mm512_add_epi32(
-                _mm512_load_si512(wa[t]), delta);
-            next = _mm512_mask_sub_epi32(
-                next, _mm512_cmpeq_epi32_mask(next, over), next,
-                _mm512_set1_epi32(1));
-            next = _mm512_mask_add_epi32(
-                next, _mm512_cmpeq_epi32_mask(next, under), next,
-                _mm512_set1_epi32(1));
-            _mm512_store_si512(nb, next);
-            for (unsigned l = 0; l < 16; ++l)
-                bases[l][ixa[t][l]] = static_cast<std::int8_t>(nb[l]);
-        }
-    }
-    _mm512_store_si512(acc_out, acc);
-    for (unsigned l = 0; l < 16; ++l)
-        misses[l] += acc_out[l];
-}
-
-void
-replayPerceptronBatchAvx512(const std::uint32_t *idx,
-                            const std::uint8_t *taken, std::size_t n,
-                            PerceptronBatch &batch)
-{
-    for (unsigned l0 = 0; l0 < batch.lanes; l0 += 16) {
-        alignas(64) std::int8_t dummy[8] = {};
-        std::int8_t *bases[16];
-        alignas(64) std::uint32_t live[16];
-        alignas(64) std::int32_t thetas[16];
-        std::uint64_t misses[16] = {};
-        const unsigned live_count = std::min(16u, batch.lanes - l0);
-        for (unsigned l = 0; l < 16; ++l) {
-            bases[l] = l < live_count ? batch.weights[l0 + l] : dummy;
-            live[l] = l < live_count ? 0xFFFFFFFFu : 0u;
-            thetas[l] = l < live_count ? batch.theta[l0 + l] : -1;
-        }
-        perceptronLanes16Avx512(idx + l0, batch.tables, taken, n,
-                                bases, live, thetas, misses);
-        for (unsigned l = 0; l < live_count; ++l)
             batch.misses[l0 + l] += misses[l];
     }
 }
@@ -981,36 +719,19 @@ replayPerceptronBatch(SimdTarget target, const std::uint32_t *idx,
     bpsim_assert(n < (std::size_t{1} << 30),
                  "perceptron batch span ", n,
                  " overflows the per-call miss accumulator");
-    // Same occupancy reasoning as replayLaneBatch: dead padding lanes
-    // still pay gathers and stores, so under-occupied batches drop to
-    // the next narrower kernel: 9 live lanes for AVX-512 (as for the
-    // 2-bit replay), 5 for the 8-wide AVX2 kernel, 3 for SSE2.
-    switch (target) {
+    // One vector kernel: the 8-wide AVX2 one, which AVX-512 hosts run
+    // too.  An SSE2 and a 16-wide AVX-512 perceptron kernel both lost
+    // to it (0.975x and 1.08x of scalar against AVX2's 1.12x,
+    // bench/BENCH_sweep.json zoo block) and were deleted.  Dead padding
+    // lanes still pay gathers and stores, so batches with fewer than 5
+    // live lanes run the scalar loop.
 #if BPSIM_SIMD_X86
-      case SimdTarget::AVX512:
-#if defined(BPSIM_HAVE_AVX512)
-        if (batch.lanes >= 9) {
-            replayPerceptronBatchAvx512(idx, taken, n, batch);
-            return;
-        }
-#endif
-        [[fallthrough]];
-      case SimdTarget::AVX2:
-        if (batch.lanes >= 5) {
-            replayPerceptronBatchAvx2(idx, taken, n, batch);
-            return;
-        }
-        [[fallthrough]];
-      case SimdTarget::SSE2:
-        if (batch.lanes >= 3) {
-            replayPerceptronBatchSse2(idx, taken, n, batch);
-            return;
-        }
-        break;
-#endif
-      default:
-        break;
+    if ((target == SimdTarget::AVX2 || target == SimdTarget::AVX512) &&
+        batch.lanes >= 5) {
+        replayPerceptronBatchAvx2(idx, taken, n, batch);
+        return;
     }
+#endif
     replayPerceptronBatchScalar(idx, taken, n, batch);
 }
 

@@ -16,25 +16,28 @@
  *           vector kernel is held to, bit for bit (tests/test_simd.cc,
  *           tests/differential/test_fused_kernel.cc,
  *           tests/differential/test_model_batch.cc).
- *   SSE2    2-bit and perceptron, 4 lanes per 128-bit vector.  No
- *           variable per-element shifts exist in SSE2, so counter
- *           extraction and insertion go through power-of-two
- *           multiplies (pmullw); table bytes are moved with scalar
- *           loads/stores.
+ *   SSE2    2-bit only, 4 lanes per 128-bit vector.  No variable
+ *           per-element shifts exist in SSE2, so counter extraction
+ *           and insertion go through power-of-two multiplies (pmullw);
+ *           table bytes are moved with scalar loads/stores.
+ *           Perceptron batches on an SSE2 target run scalar: an SSE2
+ *           perceptron kernel measured 0.975x of scalar.
  *   AVX2    perceptron only, 8 lanes per 256-bit vector with hardware
  *           gathers (vpgatherqd on absolute byte addresses); stores
  *           remain scalar because x86 has no AVX2 scatter.  There is
  *           no AVX2 2-bit kernel -- one measured no faster than SSE2
  *           -- so 2-bit batches on an AVX2 target run the SSE2 kernel.
- *   AVX512  2-bit and perceptron, 16 lanes per 512-bit vector.  Two
- *           8-wide vpgatherqd on absolute addresses; the 2-bit replay
- *           stores through hardware scatters (vpscatterqd), which is
- *           safe precisely because lanes train disjoint tables -- the
- *           4-byte scatter element only ever lands inside the owning
- *           lane's allocation (table bytes + PackedPht slack).
+ *   AVX512  2-bit only, 16 lanes per 512-bit vector.  Two 8-wide
+ *           vpgatherqd on absolute addresses; stores go through
+ *           hardware scatters (vpscatterqd), which is safe precisely
+ *           because lanes train disjoint tables -- the 4-byte scatter
+ *           element only ever lands inside the owning lane's
+ *           allocation (table bytes + PackedPht slack).
  *           Under-occupied 2-bit batches (8 or fewer lanes) drop to
- *           SSE2.  Compiled only when the toolchain understands the
- *           avx512f target attribute (CMake probe ->
+ *           SSE2, and perceptron batches run the AVX2 kernel (a
+ *           16-lane AVX-512 one measured 1.08x of scalar against
+ *           AVX2's 1.12x).  Compiled only when the toolchain
+ *           understands the avx512f target attribute (CMake probe ->
  *           BPSIM_HAVE_AVX512); otherwise the target reports
  *           unsupported and dispatch clamps to AVX2.
  *
@@ -198,9 +201,10 @@ struct PerceptronBatch
  * PerceptronModel::step.  All targets are bit-identical: identical
  * final weight banks, identical miss counts (integer sums are
  * order-free and every update is a single-byte store).  @p target must
- * be concrete and is a ceiling as in replayLaneBatch: under-occupied
- * batches drop to the next narrower kernel (same break-evens), and
- * wider batches run in native-width chunks.  @p n must stay below
+ * be concrete and is a ceiling as in replayLaneBatch: AVX2 and
+ * AVX-512 targets run the 8-wide AVX2 kernel when 5 or more lanes are
+ * live (wider batches in 8-lane chunks), and every other batch runs
+ * the scalar loop.  @p n must stay below
  * 2^30 (per-call int32 miss accumulators); the sweep engine's block
  * tiles are 4 orders of magnitude smaller.
  */

@@ -5,79 +5,108 @@
 
 #include "common/logging.hh"
 #include "common/sat_counter.hh"
+#include "sim/first_level.hh"
 
 namespace bpsim {
 
 namespace {
 
-/** Key for the private (per row+column, per branch) reference table. */
-struct PrivateKey
+/** One instance as the shared table and its private twin saw it. */
+struct TwinStep
 {
-    std::uint64_t index;
-    Addr pc;
-
-    bool operator==(const PrivateKey &) const = default;
+    bool sharedWrong;
+    bool privateWrong;
+    /** A both-wrong miss here is a first-touch (cold) miss. */
+    bool cold;
 };
 
-struct PrivateKeyHash
+/** Classify the twin step of every instance of an @p n-branch trace. */
+template <typename StepFn>
+InterferenceResult
+decompose(std::size_t n, StepFn step)
 {
-    std::size_t
-    operator()(const PrivateKey &k) const
-    {
-        // Simple mix; the table is only used offline for analysis.
-        std::uint64_t h = k.index * 0x9e3779b97f4a7c15ULL;
-        h ^= k.pc + 0x517cc1b727220a95ULL + (h << 6) + (h >> 2);
-        return static_cast<std::size_t>(h);
+    InterferenceResult out;
+    out.instances = n;
+    for (std::size_t i = 0; i < n; ++i) {
+        const TwinStep s = step(i);
+        out.sharedMispredicts += s.sharedWrong;
+        out.privateMispredicts += s.privateWrong;
+        if (s.sharedWrong && !s.privateWrong)
+            ++out.destructive;
+        else if (!s.sharedWrong && s.privateWrong)
+            ++out.constructive;
+        else if (s.sharedWrong)
+            ++(s.cold ? out.coldMispredicts : out.capacityMispredicts);
     }
-};
+    return out;
+}
 
 /**
- * Lock-step decomposition for the multi-table zoo: the shared model
- * aliases across branches exactly as deployed; the private twin gives
- * every static branch its own full model trained on the same stream.
+ * The 2-bit schemes: the shared table is indexed exactly as the sweep
+ * indexes it; the private table gives every (row, static branch) pair
+ * its own counter, keyed (row << 32) | branch id.  That key names the
+ * same counter as (table index, pc) would, because a pc fixes its
+ * column.  A key's first touch is its cold miss.
+ */
+InterferenceResult
+twoBitInterference(const PreparedTrace &trace, SchemeKind kind,
+                   unsigned row_bits, unsigned col_bits,
+                   const SweepOptions &opts)
+{
+    bpsim_assert(row_bits <= 32, "interference rows must pack into 32 bits");
+    const FirstLevel in(trace, opts,
+                        [kind](SchemeKind k) { return k == kind; });
+    return withRowSource(
+        trace, opts, in, kind, row_bits, [&](auto row_of, auto) {
+            const std::uint64_t row_mask = mask(row_bits);
+            const std::uint64_t col_mask = mask(col_bits);
+            std::vector<TwoBitCounter> shared(std::size_t{1}
+                                              << (row_bits + col_bits));
+            std::unordered_map<std::uint64_t, TwoBitCounter> privates;
+            privates.reserve(trace.size() / 16 + 16);
+            return decompose(trace.size(), [&](std::size_t i) {
+                const std::uint64_t row = row_of(i) & row_mask;
+                const std::uint64_t col =
+                    wordIndex(trace.pc(i)) & col_mask;
+                const bool taken = trace.taken(i);
+                TwoBitCounter &sh = shared[(row << col_bits) | col];
+                const bool shared_wrong = sh.predict() != taken;
+                sh.update(taken);
+                const auto [it, fresh] =
+                    privates.try_emplace((row << 32) | trace.branchId(i));
+                const bool private_wrong = it->second.predict() != taken;
+                it->second.update(taken);
+                return TwinStep{shared_wrong, private_wrong, fresh};
+            });
+        });
+}
+
+/**
+ * The multi-table zoo in lock-step: the shared model aliases across
+ * branches exactly as deployed; the private twin gives every static
+ * branch (by id) its own full model trained on the same stream.
  * @p cold_of classifies a both-wrong miss from (shared step, private
  * model freshness before the step).
  */
 template <typename Model, typename Params, typename ColdFn>
 InterferenceResult
-analyzeModelInterference(const PreparedTrace &trace,
-                         const Params &params, ColdFn cold_of)
+modelInterference(const PreparedTrace &trace, const Params &params,
+                  ColdFn cold_of)
 {
     Model shared(params);
-    std::unordered_map<Addr, Model> privates;
-
-    InterferenceResult out;
-    out.instances = trace.size();
-
-    for (std::size_t i = 0; i < trace.size(); ++i) {
+    std::vector<Model> privates(trace.staticBranches(), Model(params));
+    return decompose(trace.size(), [&](std::size_t i) {
         const Addr pc = trace.pc(i);
         const std::uint64_t ghist = trace.globalHistory(i);
         const bool taken = trace.taken(i);
-
-        auto it = privates.find(pc);
-        if (it == privates.end())
-            it = privates.emplace(pc, Model(params)).first;
-        const bool private_fresh = it->second.updates() == 0;
-
-        auto shared_step = shared.step(pc, ghist, taken);
-        auto private_step = it->second.step(pc, ghist, taken);
-
-        bool shared_wrong = shared_step.prediction != taken;
-        bool private_wrong = private_step.prediction != taken;
-        out.sharedMispredicts += shared_wrong;
-        out.privateMispredicts += private_wrong;
-        if (shared_wrong && !private_wrong) {
-            ++out.destructive;
-        } else if (!shared_wrong && private_wrong) {
-            ++out.constructive;
-        } else if (shared_wrong && private_wrong) {
-            if (cold_of(shared_step, private_fresh))
-                ++out.coldMispredicts;
-            else
-                ++out.capacityMispredicts;
-        }
-    }
-    return out;
+        Model &priv = privates[trace.branchId(i)];
+        const bool private_fresh = priv.updates() == 0;
+        const auto shared_step = shared.step(pc, ghist, taken);
+        const auto private_step = priv.step(pc, ghist, taken);
+        return TwinStep{shared_step.prediction != taken,
+                        private_step.prediction != taken,
+                        cold_of(shared_step, private_fresh)};
+    });
 }
 
 } // namespace
@@ -87,103 +116,23 @@ analyzeInterference(const PreparedTrace &trace, SchemeKind kind,
                     unsigned row_bits, unsigned col_bits,
                     const SweepOptions &opts)
 {
-    // The multi-table zoo replays full models in lock-step; tagged
-    // allocation misses land in cold, never aliasing (see header).
+    // Tagged allocation misses land in cold, never aliasing (see
+    // header).
     if (kind == SchemeKind::Tage) {
-        return analyzeModelInterference<TageModel>(
+        return modelInterference<TageModel>(
             trace, tageSweepParams(row_bits, col_bits, opts),
             [](const TageStep &s, bool) {
                 return s.providerWasFresh || s.allocated;
             });
     }
     if (kind == SchemeKind::Perceptron) {
-        return analyzeModelInterference<PerceptronModel>(
+        return modelInterference<PerceptronModel>(
             trace, perceptronSweepParams(row_bits, col_bits, opts),
             [](const PerceptronStep &, bool private_fresh) {
                 return private_fresh;
             });
     }
-
-    const std::uint64_t row_mask = mask(row_bits);
-    const std::uint64_t col_mask = mask(col_bits);
-
-    // First-level inputs, shared with the sweep semantics (and pinned
-    // equivalent by the sweep tests).
-    std::vector<std::uint64_t> path;
-    BhtHistory bht;
-    if (kind == SchemeKind::Path)
-        path = trace.pathHistoryStream(opts.pathBitsPerTarget);
-    if (kind == SchemeKind::PAsFinite)
-        bht = trace.bhtHistory(opts.bhtEntries, opts.bhtAssoc,
-                               opts.bhtResetPolicy);
-    const BhtNarrowing bht_width(opts.bhtResetPolicy, row_bits);
-
-    auto row_of = [&](std::size_t i) -> std::uint64_t {
-        switch (kind) {
-          case SchemeKind::AddressIndexed:
-            return 0;
-          case SchemeKind::GAg:
-          case SchemeKind::GAs:
-            return trace.globalHistory(i);
-          case SchemeKind::Gshare:
-            return trace.globalHistory(i) ^ wordIndex(trace.pc(i));
-          case SchemeKind::PAsPerfect:
-            return trace.selfHistory(i);
-          case SchemeKind::Path:
-            return path[i];
-          case SchemeKind::PAsFinite:
-            return bht.at(i, bht_width);
-          case SchemeKind::Tage:
-          case SchemeKind::Perceptron:
-            break; // handled by the model path above
-        }
-        bpsim_panic("unreachable scheme kind");
-    };
-
-    std::vector<TwoBitCounter> shared(
-        std::size_t{1} << (row_bits + col_bits));
-    std::unordered_map<PrivateKey, TwoBitCounter, PrivateKeyHash>
-        privateTable;
-    privateTable.reserve(trace.size() / 16 + 16);
-
-    InterferenceResult out;
-    out.instances = trace.size();
-
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        std::uint64_t row = row_of(i) & row_mask;
-        std::uint64_t col = wordIndex(trace.pc(i)) & col_mask;
-        auto idx =
-            static_cast<std::size_t>((row << col_bits) | col);
-        bool taken = trace.taken(i);
-
-        bool shared_pred = shared[idx].predict();
-        shared[idx].update(taken);
-
-        const PrivateKey key{idx, trace.pc(i)};
-        // A map miss means this (index, pc) pair has never trained:
-        // a both-wrong miss here is a cold (first-touch) miss.
-        const bool private_fresh =
-            privateTable.find(key) == privateTable.end();
-        TwoBitCounter &priv = privateTable[key];
-        bool private_pred = priv.predict();
-        priv.update(taken);
-
-        bool shared_wrong = shared_pred != taken;
-        bool private_wrong = private_pred != taken;
-        out.sharedMispredicts += shared_wrong;
-        out.privateMispredicts += private_wrong;
-        if (shared_wrong && !private_wrong) {
-            ++out.destructive;
-        } else if (!shared_wrong && private_wrong) {
-            ++out.constructive;
-        } else if (shared_wrong && private_wrong) {
-            if (private_fresh)
-                ++out.coldMispredicts;
-            else
-                ++out.capacityMispredicts;
-        }
-    }
-    return out;
+    return twoBitInterference(trace, kind, row_bits, col_bits, opts);
 }
 
 } // namespace bpsim

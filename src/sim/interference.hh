@@ -8,8 +8,8 @@
  * paper, formalised this as destructive / neutral / constructive
  * interference.  This analyzer measures the decomposition exactly, by
  * replaying a trace through the real (shared) table and, in lock-step,
- * through an idealised table that gives every (row, branch) pair its
- * own counter:
+ * through an idealised table that gives every (row, static branch)
+ * pair its own counter:
  *
  *   destructive: shared table wrong, private counter right
  *   constructive: shared table right, private counter wrong
@@ -31,14 +31,25 @@
  * so sharedMispredicts == aliasing + cold + capacity always holds.
  * "First-touch" is scheme-specific but deterministic:
  *
- *   - classic two-level schemes: the private (index, pc) counter had
- *     never been trained;
+ *   - classic two-level schemes: the private (row, branch) counter
+ *     had never been trained;
  *   - TAGE: the shared provider entry had never been trained, or the
  *     mispredict triggered a tagged-entry allocation -- the paper-era
  *     machinery would call these aliasing, but a tag mismatch never
  *     silently trains a stranger's counter, so they are compulsory
  *     (cold) misses, not interference;
  *   - perceptron: the private per-branch twin had never been trained.
+ *
+ * Layout.  The 2-bit schemes read their rows through the sweep's own
+ * first-level inputs and row definitions (first_level.hh), so the
+ * shared table is indexed exactly as a sweep indexes it.  Their
+ * private table is keyed by (row, dense branch id), packed as
+ * (row << 32) | PreparedTrace::branchId; a pc fixes its column, so
+ * this names the same counter as (table index, pc).  The TAGE and
+ * perceptron private twins are one full model per static branch, in
+ * a vector indexed by branch id.  One decomposition loop classifies
+ * every scheme's per-instance (shared wrong, private wrong, cold)
+ * step.  The analysis is serial.
  */
 
 #ifndef BPSIM_SIM_INTERFERENCE_HH
@@ -69,43 +80,21 @@ struct InterferenceResult
     /** Both twins wrong with trained state (capacity / convergence). */
     std::uint64_t capacityMispredicts = 0;
 
+    /** @p count as a fraction of instances (0 for an empty run). */
     double
-    sharedMispRate() const
+    rate(std::uint64_t count) const
     {
-        return instances ?
-            static_cast<double>(sharedMispredicts) /
-                static_cast<double>(instances)
-            : 0.0;
+        return instances ? static_cast<double>(count) /
+                               static_cast<double>(instances)
+                         : 0.0;
     }
 
-    double
-    privateMispRate() const
-    {
-        return instances ?
-            static_cast<double>(privateMispredicts) /
-                static_cast<double>(instances)
-            : 0.0;
-    }
-
+    double sharedMispRate() const { return rate(sharedMispredicts); }
+    double privateMispRate() const { return rate(privateMispredicts); }
     /** Fraction of instances where sharing hurt. */
-    double
-    destructiveRate() const
-    {
-        return instances ?
-            static_cast<double>(destructive) /
-                static_cast<double>(instances)
-            : 0.0;
-    }
-
+    double destructiveRate() const { return rate(destructive); }
     /** Fraction of instances where sharing helped. */
-    double
-    constructiveRate() const
-    {
-        return instances ?
-            static_cast<double>(constructive) /
-                static_cast<double>(instances)
-            : 0.0;
-    }
+    double constructiveRate() const { return rate(constructive); }
 
     /** Net accuracy cost of sharing (can be negative). */
     double
@@ -120,36 +109,16 @@ struct InterferenceResult
      * (aliasing + cold + capacity == sharedMispredicts).
      */
     std::uint64_t aliasingMispredicts() const { return destructive; }
-
-    double
-    aliasingRate() const
-    {
-        return destructiveRate();
-    }
-
-    double
-    coldRate() const
-    {
-        return instances ?
-            static_cast<double>(coldMispredicts) /
-                static_cast<double>(instances)
-            : 0.0;
-    }
-
-    double
-    capacityRate() const
-    {
-        return instances ?
-            static_cast<double>(capacityMispredicts) /
-                static_cast<double>(instances)
-            : 0.0;
-    }
+    double aliasingRate() const { return destructiveRate(); }
+    double coldRate() const { return rate(coldMispredicts); }
+    double capacityRate() const { return rate(capacityMispredicts); }
 };
 
 /**
  * Decompose the interference of one configuration of one scheme.
- * The private reference table is unbounded (hash map keyed by counter
- * index and branch address) and trains on exactly the same stream.
+ * The private reference is unbounded (a counter per row and static
+ * branch, or a model per static branch) and trains on exactly the
+ * same stream.  2-bit rows must fit 32 bits.
  *
  * @param trace prepared conditional-branch stream
  * @param kind predictor family (first-level semantics as in sweep.hh)

@@ -17,10 +17,14 @@ PreparedTrace::PreparedTrace(const MemoryTrace &trace)
     takenBits_.reserve(n / 64 + 1);
     ghist.reserve(n);
     shist.reserve(n);
+    branchIds_.reserve(n);
 
     std::uint64_t global = 0;
-    std::unordered_map<Addr, std::uint64_t> self;
-    self.reserve(n / 64 + 16);
+    // pc -> dense branch id in first-appearance order; each id's
+    // self-history register lives at self[id].
+    std::unordered_map<Addr, std::uint32_t> ids;
+    ids.reserve(n / 64 + 16);
+    std::vector<std::uint64_t> self;
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const BranchRecord &rec = trace[i];
@@ -44,10 +48,16 @@ PreparedTrace::PreparedTrace(const MemoryTrace &trace)
         ghist.push_back(global);
         global = (global << 1) | (rec.taken ? 1u : 0u);
 
-        std::uint64_t &h = self[rec.pc];
+        const auto [it, fresh] = ids.try_emplace(
+            rec.pc, static_cast<std::uint32_t>(self.size()));
+        if (fresh)
+            self.push_back(0);
+        branchIds_.push_back(it->second);
+        std::uint64_t &h = self[it->second];
         shist.push_back(h);
         h = (h << 1) | (rec.taken ? 1u : 0u);
     }
+    staticBranches_ = self.size();
 }
 
 double
@@ -57,6 +67,7 @@ PreparedTrace::bytesPerBranch() const
         return 0.0;
     const std::size_t bytes = pcs.size() * sizeof(Addr) +
         wordBits_.size() * sizeof(std::uint16_t) +
+        branchIds_.size() * sizeof(std::uint32_t) +
         succBits_.size() * sizeof(std::uint16_t) +
         takenBits_.size() * sizeof(std::uint64_t) +
         ghist.size() * sizeof(std::uint64_t) +

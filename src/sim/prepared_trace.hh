@@ -24,7 +24,10 @@
  * column (wordBits) instead of the 8-byte pc column, and the
  * path-history column stores only the low 16 successor word-index bits
  * per branch (pathHistoryStream never shifts in more -- bits_per_target
- * is capped at 16) instead of full 8-byte target addresses.
+ * is capped at 16) instead of full 8-byte target addresses, and a
+ * 4-byte dense branch-id column lets per-branch state (the interference
+ * analyzer's private twins) live in vectors indexed by id instead of
+ * hash maps keyed by pc.
  * bytesPerBranch() reports the resulting resident footprint so tests
  * can pin it.
  *
@@ -89,6 +92,15 @@ class PreparedTrace
      */
     std::uint16_t wordBits(std::size_t i) const { return wordBits_[i]; }
 
+    /**
+     * Dense id of instance @p i's static branch: ids count up from 0
+     * in order of first appearance, so each pc has exactly one id and
+     * per-branch state can live in a vector of staticBranches().
+     */
+    std::uint32_t branchId(std::size_t i) const { return branchIds_[i]; }
+    /** Distinct conditional branch addresses (one past the last id). */
+    std::size_t staticBranches() const { return staticBranches_; }
+
     /** Outcome of conditional instance @p i. */
     bool
     taken(std::size_t i) const
@@ -112,8 +124,9 @@ class PreparedTrace
 
     /**
      * Resident column bytes divided by branch count: 8 (pc) + 2 (word
-     * bits) + 2 (successor path bits) + 8 (ghist) + 8 (shist) + 1/8
-     * (packed outcome bit).  Zero for an empty trace.
+     * bits) + 4 (branch id) + 2 (successor path bits) + 8 (ghist) + 8
+     * (shist) + 1/8 (packed outcome bit) = 32.125.  Zero for an empty
+     * trace.
      */
     double bytesPerBranch() const;
 
@@ -137,6 +150,9 @@ class PreparedTrace
     std::vector<Addr> pcs;
     /** Low 16 word-index bits per branch (fused narrow decode). */
     std::vector<std::uint16_t> wordBits_;
+    /** Dense static-branch id per branch. */
+    std::vector<std::uint32_t> branchIds_;
+    std::size_t staticBranches_ = 0;
     /** Low 16 successor word-index bits per branch (path schemes). */
     std::vector<std::uint16_t> succBits_;
     /** Packed outcomes, branch i at bit (i & 63) of word i / 64. */

@@ -10,6 +10,7 @@
 #include "common/packed_pht.hh"
 #include "common/sat_counter.hh"
 #include "common/thread_pool.hh"
+#include "sim/first_level.hh"
 #include "stats/aliasing.hh"
 
 namespace bpsim {
@@ -50,14 +51,6 @@ struct LaneTask
     /** Alias groups: one aliasing result per lane; else nullptr. */
     ConfigResult *alias;
     KernelTelemetry &tel;
-};
-
-/**
- * The harmless-pattern source of a scheme whose rows carry no outcome
- * history (AddressIndexed, Path): its conflicts are never harmless.
- */
-struct NoPattern
-{
 };
 
 /**
@@ -569,92 +562,25 @@ struct GroupRun
 };
 
 /**
- * A sweep's first-level inputs, built once before its grid and read by
- * every task: the path-history stream when a Path group runs, and the
- * one BHT history every PAsFinite row width derives from.
+ * Run @p task's lanes with the row and pattern sources of @p group
+ * (first_level.hh); PAs(bht) rows are the group's register width.
  */
-struct FirstLevel
-{
-    std::vector<std::uint64_t> path;
-    BhtHistory bht;
-
-    FirstLevel(const PreparedTrace &t, const SweepOptions &opts,
-               const std::vector<FusedGroup> &groups)
-    {
-        const auto planned = [&](SchemeKind kind) {
-            return std::any_of(groups.begin(), groups.end(),
-                               [kind](const FusedGroup &g) {
-                                   return g.kind == kind;
-                               });
-        };
-        if (planned(SchemeKind::Path))
-            path = t.pathHistoryStream(opts.pathBitsPerTarget);
-        if (planned(SchemeKind::PAsFinite))
-            bht = t.bhtHistory(opts.bhtEntries, opts.bhtAssoc,
-                               opts.bhtResetPolicy);
-    }
-};
-
-/** Run @p task's lanes with the row and pattern sources of @p group. */
 void
 replayGroupTask(const PreparedTrace &t, const SweepOptions &opts,
                 const FirstLevel &in, const FusedGroup &group,
                 const GroupRun &run, const LaneTask &task,
                 SimdTarget target)
 {
-    const auto global_history = [&](std::size_t i) {
-        return t.globalHistory(i);
-    };
-    const auto self_history = [&](std::size_t i) {
-        return t.selfHistory(i);
-    };
-    const bool narrow = run.narrow;
-
-    switch (group.kind) {
-      case SchemeKind::AddressIndexed:
-        replayFusedLanes(t, task, narrow, target,
-                         [](std::size_t) { return std::uint64_t{0}; },
-                         NoPattern{});
-        break;
-      case SchemeKind::GAg:
-      case SchemeKind::GAs:
-        replayFusedLanes(t, task, narrow, target, global_history,
-                         global_history);
-        break;
-      case SchemeKind::Gshare:
-        // Harmlessness keys on the outcome pattern itself, not on the
-        // address-hashed row.
-        replayFusedLanes(t, task, narrow, target,
-                         [&](std::size_t i) {
-                             return t.globalHistory(i) ^ wordIndex(t.pc(i));
-                         },
-                         global_history);
-        break;
-      case SchemeKind::Path:
-        replayFusedLanes(t, task, narrow, target,
-                         [&](std::size_t i) { return in.path[i]; },
-                         NoPattern{});
-        break;
-      case SchemeKind::PAsPerfect:
-        replayFusedLanes(t, task, narrow, target, self_history,
-                         self_history);
-        break;
-      case SchemeKind::PAsFinite: {
-        // Rows are the group's width of the shared BHT history; the
-        // task tabulates that width's reset prefix once.
-        const BhtNarrowing width(opts.bhtResetPolicy, group.streamRowBits);
-        const auto bht_history = [&](std::size_t i) {
-            return in.bht.at(i, width);
-        };
-        replayFusedLanes(t, task, narrow, target, bht_history, bht_history);
-        break;
-      }
-      case SchemeKind::Tage:
-      case SchemeKind::Perceptron:
+    if (isModelScheme(group.kind)) {
         replayModelLanes(t, opts, group.kind == SchemeKind::Tage, task,
                          target);
-        break;
+        return;
     }
+    withRowSource(t, opts, in, group.kind, group.streamRowBits,
+                  [&](auto row_of, auto pattern_of) {
+                      replayFusedLanes(t, task, run.narrow, target, row_of,
+                                       pattern_of);
+                  });
 }
 
 } // namespace
@@ -689,7 +615,12 @@ runFusedGroups(const PreparedTrace &t, const SweepOptions &opts,
                const std::vector<ConfigJob> &jobs, ConfigResult *slots,
                KernelTelemetry *telemetry)
 {
-    const FirstLevel in(t, opts, groups);
+    const FirstLevel in(t, opts, [&](SchemeKind kind) {
+        return std::any_of(groups.begin(), groups.end(),
+                           [kind](const FusedGroup &g) {
+                               return g.kind == kind;
+                           });
+    });
     const unsigned segments = resolveSegments(opts);
     const SimdTarget target = resolveSimdTarget(opts.simd);
     const unsigned threads = ThreadPool::resolveThreads(opts.threads);

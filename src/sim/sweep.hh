@@ -58,7 +58,12 @@
 
 namespace bpsim {
 
-/** The predictor families the paper sweeps. */
+/**
+ * The predictor families the paper sweeps.  Each 2-bit kind's row
+ * (and harmless-pattern) source is defined once, by withRowSource in
+ * first_level.hh, which both the sweep replay and analyzeInterference
+ * read.
+ */
 enum class SchemeKind
 {
     AddressIndexed, ///< row of counters, address-selected (Figure 2)
@@ -79,7 +84,8 @@ enum class SchemeKind
      * through the SIMD PerceptronBatch kernel).  Their aliasing/
      * harmless surfaces stay zero whether trackAliasing is set or not
      * -- interference decomposition comes from analyzeInterference
-     * instead (see interference.hh).
+     * instead (see interference.hh), whose private twins are one
+     * model per static branch, indexed by PreparedTrace::branchId.
      */
     Tage,       ///< tagged geometric-history components over a base
     Perceptron, ///< hashed perceptron (summed signed weight tables)

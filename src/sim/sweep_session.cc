@@ -70,7 +70,9 @@ optionKey(SchemeKind kind, const SweepOptions &opts, bool with_tiers)
         std::string token = std::string(f.keyToken) + "=";
         const char *sep = "";
         for (std::uint64_t v : f.get(resolved)) {
-            token += sep + std::to_string(v);
+            // Two appends: sep + to_string trips GCC 12 -Wrestrict.
+            token += sep;
+            token += std::to_string(v);
             sep = ",";
         }
         tokens.push_back(std::move(token));

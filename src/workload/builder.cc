@@ -67,7 +67,9 @@ ProgramBuilder::build()
     prog.functions.resize(nfuncs);
     for (std::uint32_t fid = 0; fid < nfuncs; ++fid) {
         Function &fn = prog.functions[fid];
-        fn.name = "f" + std::to_string(fid);
+        // Two appends: "f" + to_string trips GCC 12 -Wrestrict.
+        fn.name.assign(1, 'f');
+        fn.name += std::to_string(fid);
         fn.kernel = rng.bernoulli(params.kernelFraction);
         fn.hotness = 1.0 /
             std::pow(static_cast<double>(hotRank[fid] + 1),

@@ -217,13 +217,27 @@ TEST(PreparedTrace, TakenWordsPackOutcomesSixtyFourPerWord)
 
 TEST(PreparedTrace, BytesPerBranchReflectsPackedColumns)
 {
-    // pc (8) + word bits (2) + ghist (8) + shist (8) + one outcome
-    // BIT + 2 bytes of successor path bits: ~28.13, not the 33 of the
-    // old layout with byte-wide outcomes and 8-byte targets.
+    // pc (8) + word bits (2) + branch id (4) + ghist (8) + shist (8)
+    // + one outcome BIT + 2 bytes of successor path bits: ~32.13, not
+    // the 37 of a layout with byte-wide outcomes and 8-byte targets.
     MemoryTrace raw = smallWorkload();
     PreparedTrace t(raw);
-    EXPECT_GE(t.bytesPerBranch(), 28.125);
-    EXPECT_LT(t.bytesPerBranch(), 28.2);
+    EXPECT_GE(t.bytesPerBranch(), 32.125);
+    EXPECT_LT(t.bytesPerBranch(), 32.2);
+}
+
+TEST(PreparedTrace, BranchIdsAreDenseInFirstAppearanceOrder)
+{
+    MemoryTrace raw = smallWorkload();
+    PreparedTrace t(raw);
+    std::unordered_map<Addr, std::uint32_t> ids;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const auto [it, fresh] = ids.try_emplace(
+            t.pc(i), static_cast<std::uint32_t>(ids.size()));
+        ASSERT_EQ(t.branchId(i), it->second) << "instance " << i;
+    }
+    EXPECT_EQ(t.staticBranches(), ids.size());
+    EXPECT_GT(t.staticBranches(), 1u);
 }
 
 TEST(PreparedTrace, PathStreamSurvivesSuccessorBitNarrowing)
