@@ -50,7 +50,7 @@ main(int argc, char **argv)
         TableFormatter table({"budget", "scheme", "shared misp",
                               "aliasing", "cold", "capacity"});
         for (const Budget &b : budgets) {
-            SweepOptions o;
+            const SweepOptions o = opts.sweepOptions({});
             InterferenceResult tage = analyzeInterference(
                 *trace, SchemeKind::Tage, b.tageEntryBits,
                 b.tageBaseBits, o);

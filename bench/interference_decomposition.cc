@@ -41,7 +41,7 @@ main(int argc, char **argv)
                               "constructive", "net damage",
                               "shared misp", "private misp"});
         for (const Config &c : configs) {
-            SweepOptions o;
+            SweepOptions o = opts.sweepOptions({});
             o.trackAliasing = true;
             ConfigResult sweep = simulateConfig(
                 *trace, SchemeKind::GAs, c.rowBits, c.colBits, o);

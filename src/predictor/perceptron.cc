@@ -86,6 +86,13 @@ PerceptronModel::reset()
     updates_ = 0;
 }
 
+void
+PerceptronModel::resetWeights(Addr pc, std::uint64_t ghist)
+{
+    for (unsigned t = 0; t < params_.tables; ++t)
+        tables_[t][tableIndex(t, pc, ghist)] = 0;
+}
+
 PerceptronPredictor::PerceptronPredictor(const PerceptronParams &params)
     : model_(params), history_(64)
 {

@@ -78,6 +78,14 @@ class PerceptronModel
 
     void reset();
 
+    /**
+     * Zero the weights a step(@p pc, @p ghist, ...) reads and trains;
+     * updates() is left alone.  Undoing each step of a run this way
+     * restores the tables reset() would, at the run's cost instead of
+     * the tables'.
+     */
+    void resetWeights(Addr pc, std::uint64_t ghist);
+
     const PerceptronParams &params() const { return params_; }
 
     /** The integer training threshold: (193 * h) / 100 + 14. */

@@ -26,6 +26,36 @@ TageParams::validate() const
     }
 }
 
+void
+tageIndexBlock(const std::vector<unsigned> &histories, unsigned entry_bits,
+               const std::uint64_t *ghist, const std::uint32_t *pc_fold,
+               std::size_t pc_stride, std::size_t m, std::uint32_t *out,
+               std::size_t stride)
+{
+    for (std::size_t j = 0; j < histories.size(); ++j) {
+        const std::uint64_t hmask = mask(histories[j]);
+        std::uint32_t *o = out + j * stride;
+        for (std::size_t i = 0; i < m; ++i)
+            o[i] = tageIndex(ghist[i] & hmask, pc_fold[i * pc_stride],
+                             entry_bits);
+    }
+}
+
+void
+tageTagBlock(const std::vector<unsigned> &histories, unsigned tag_bits,
+             const std::uint64_t *ghist, const std::uint32_t *pc_fold,
+             std::size_t pc_stride, std::size_t m, std::uint16_t *out,
+             std::size_t stride)
+{
+    for (std::size_t j = 0; j < histories.size(); ++j) {
+        const std::uint64_t hmask = mask(histories[j]);
+        std::uint16_t *o = out + j * stride;
+        for (std::size_t i = 0; i < m; ++i)
+            o[i] = tageTag(ghist[i] & hmask, pc_fold[i * pc_stride],
+                           tag_bits);
+    }
+}
+
 TageModel::TageModel(const TageParams &params) : params_(params)
 {
     params_.validate();
@@ -46,23 +76,17 @@ TageModel::baseIndex(Addr pc) const
 std::size_t
 TageModel::taggedIndex(unsigned comp, Addr pc, std::uint64_t ghist) const
 {
-    std::uint64_t hist = ghist & mask(params_.histories[comp]);
-    return static_cast<std::size_t>(
-        (xorFold(hist, params_.entryBits) ^
-         xorFold(wordIndex(pc), params_.entryBits)) &
-        mask(params_.entryBits));
+    return tageIndex(ghist & mask(params_.histories[comp]),
+                     tagePcFold(wordIndex(pc), params_.entryBits),
+                     params_.entryBits);
 }
 
 std::uint16_t
 TageModel::taggedTag(unsigned comp, Addr pc, std::uint64_t ghist) const
 {
-    // The classic TAGE tag: pc fold xor history folded at two widths,
-    // the second shifted, so adjacent history lengths decorrelate.
-    std::uint64_t hist = ghist & mask(params_.histories[comp]);
-    std::uint64_t tag = xorFold(wordIndex(pc), params_.tagBits) ^
-                        xorFold(hist, params_.tagBits) ^
-                        (xorFold(hist, params_.tagBits - 1) << 1);
-    return static_cast<std::uint16_t>(tag & mask(params_.tagBits));
+    return tageTag(ghist & mask(params_.histories[comp]),
+                   tagePcFold(wordIndex(pc), params_.tagBits),
+                   params_.tagBits);
 }
 
 TageStep
@@ -183,6 +207,16 @@ TageModel::reset()
     for (auto &comp : components_)
         std::fill(comp.begin(), comp.end(), TaggedEntry{});
     updates_ = 0;
+}
+
+void
+TageModel::resetKeys(std::size_t base_idx, const std::uint32_t *idx,
+                     std::size_t idx_stride)
+{
+    base_[base_idx] = TwoBitCounter{};
+    baseTrained_[base_idx] = 0;
+    for (std::size_t j = 0; j < components_.size(); ++j)
+        components_[j][idx[j * idx_stride]] = TaggedEntry{};
 }
 
 TagePredictor::TagePredictor(const TageParams &params)

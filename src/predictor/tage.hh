@@ -24,6 +24,7 @@
 #ifndef BPSIM_PREDICTOR_TAGE_HH
 #define BPSIM_PREDICTOR_TAGE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,6 +50,59 @@ struct TageParams
     /** bpsim_assert that the geometry is well-formed. */
     void validate() const;
 };
+
+/**
+ * @name TAGE's key hash, written once
+ * A tagged component's entry index is its history slice folded to the
+ * entry width, xor the pc's word index folded the same way.  Its tag
+ * folds the slice at the tag width and at one bit less, the second
+ * shifted, so adjacent history lengths decorrelate, xor the pc folded
+ * at the tag width.  TageModel::step(), the sweep's batched model
+ * lanes and the interference analysis all hash through these; the
+ * block forms fill the component-major key blocks stepWithKeys()
+ * reads.
+ */
+///@{
+/** The pc half of a key: @p word_index folded to @p bits. */
+inline std::uint32_t
+tagePcFold(std::uint64_t word_index, unsigned bits)
+{
+    return static_cast<std::uint32_t>(xorFold(word_index, bits));
+}
+
+/** Entry index of history slice @p hist for a pc folded to @p pc_fold. */
+inline std::uint32_t
+tageIndex(std::uint64_t hist, std::uint32_t pc_fold, unsigned entry_bits)
+{
+    return static_cast<std::uint32_t>(
+        (xorFold(hist, entry_bits) ^ pc_fold) & mask(entry_bits));
+}
+
+/** Tag of history slice @p hist for a pc folded to @p pc_fold. */
+inline std::uint16_t
+tageTag(std::uint64_t hist, std::uint32_t pc_fold, unsigned tag_bits)
+{
+    return static_cast<std::uint16_t>(
+        (pc_fold ^ xorFold(hist, tag_bits) ^
+         (xorFold(hist, tag_bits - 1) << 1)) &
+        mask(tag_bits));
+}
+
+/**
+ * Block forms over @p m branches: component j of branch i lands at
+ * out[j * stride + i].  ghist[i] is branch i's global history and
+ * pc_fold[i * pc_stride] its pc fold at the key's width; pc_stride 0
+ * serves the instances of one static branch, folded once.
+ */
+void tageIndexBlock(const std::vector<unsigned> &histories,
+                    unsigned entry_bits, const std::uint64_t *ghist,
+                    const std::uint32_t *pc_fold, std::size_t pc_stride,
+                    std::size_t m, std::uint32_t *out, std::size_t stride);
+void tageTagBlock(const std::vector<unsigned> &histories,
+                  unsigned tag_bits, const std::uint64_t *ghist,
+                  const std::uint32_t *pc_fold, std::size_t pc_stride,
+                  std::size_t m, std::uint16_t *out, std::size_t stride);
+///@}
 
 /** What one predict-and-train step did (analysis and test hooks). */
 struct TageStep
@@ -120,6 +174,15 @@ class TageModel
                           std::size_t tag_stride, bool taken);
 
     void reset();
+
+    /**
+     * Return every entry a stepWithKeys() with these keys may have
+     * trained or allocated to its reset state; updates() is left
+     * alone.  Undoing each step of a run this way restores the tables
+     * reset() would, at the run's cost instead of the tables'.
+     */
+    void resetKeys(std::size_t base_idx, const std::uint32_t *idx,
+                   std::size_t idx_stride);
 
     const TageParams &params() const { return params_; }
 

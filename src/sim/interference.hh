@@ -40,16 +40,24 @@
  *     (cold) misses, not interference;
  *   - perceptron: the private per-branch twin had never been trained.
  *
- * Layout.  The 2-bit schemes read their rows through the sweep's own
- * first-level inputs and row definitions (first_level.hh), so the
- * shared table is indexed exactly as a sweep indexes it.  Their
- * private table is keyed by (row, dense branch id), packed as
- * (row << 32) | PreparedTrace::branchId; a pc fixes its column, so
- * this names the same counter as (table index, pc).  The TAGE and
- * perceptron private twins are one full model per static branch, in
- * a vector indexed by branch id.  One decomposition loop classifies
- * every scheme's per-instance (shared wrong, private wrong, cold)
- * step.  The analysis is serial.
+ * Layout.  The analysis makes two passes and one decomposition loop.
+ * The shared pass steps the real table in trace order and files each
+ * instance, with its outcome and whether the table was wrong (and,
+ * for TAGE, cold), into its static branch's next slot: a counting
+ * sort on PreparedTrace::branchId.  The private pass then replays
+ * each static branch's slots alone on one reusable twin that is reset
+ * between branches -- a small row -> counter table for the 2-bit
+ * schemes, one TageModel or PerceptronModel for the zoo -- and adds
+ * whether the twin was wrong and whether it was fresh.  The 2-bit
+ * schemes read their rows through the sweep's own first-level inputs
+ * and row definitions (first_level.hh), so the shared table is
+ * indexed exactly as a sweep indexes it.  TAGE keys are hashed once
+ * per instance, in the shared pass with each pc folded once per
+ * static branch, and both twins step on them through
+ * TageModel::stepWithKeys.  Every twin sees only its own branch, so
+ * the private pass splits static branches into ranges balanced by
+ * instance count across opts.threads executors; any thread count
+ * gives the same result.
  */
 
 #ifndef BPSIM_SIM_INTERFERENCE_HH
@@ -123,7 +131,8 @@ struct InterferenceResult
  * @param trace prepared conditional-branch stream
  * @param kind predictor family (first-level semantics as in sweep.hh)
  * @param row_bits, col_bits second-level geometry
- * @param opts per-scheme knobs (path bits, BHT geometry)
+ * @param opts per-scheme knobs (path bits, BHT geometry, TAGE and
+ *        perceptron shape) and the private pass's thread count
  */
 InterferenceResult
 analyzeInterference(const PreparedTrace &trace, SchemeKind kind,

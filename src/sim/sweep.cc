@@ -340,9 +340,6 @@ replayModelLanes(const PreparedTrace &t, const SweepOptions &opts,
     if (is_tage) {
         const auto ncomp = static_cast<unsigned>(opts.tageHistories.size());
         const unsigned tag_bits = opts.tageTagBits;
-        std::uint64_t hmask[8];
-        for (unsigned j = 0; j < ncomp && j < 8; ++j)
-            hmask[j] = mask(opts.tageHistories[j]);
 
         std::vector<TageModel> models;
         models.reserve(task_lanes);
@@ -356,7 +353,7 @@ replayModelLanes(const PreparedTrace &t, const SweepOptions &opts,
         // once per (block, entry-width class).
         std::vector<std::uint16_t> tags(ncomp * kBlockSize);
         std::vector<std::uint32_t> idxf(ncomp * kBlockSize);
-        std::vector<std::uint16_t> wtagf(kBlockSize);
+        std::vector<std::uint32_t> wtagf(kBlockSize);
         std::vector<std::uint32_t> wfold(kBlockSize);
 
         const auto replay_span = [&](std::size_t lo, std::size_t hi,
@@ -367,18 +364,9 @@ replayModelLanes(const PreparedTrace &t, const SweepOptions &opts,
                     ++tel.blocksReplayed;
                 decode_block(base, m);
                 for (std::size_t i = 0; i < m; ++i)
-                    wtagf[i] = static_cast<std::uint16_t>(
-                        xorFold(widx[i], tag_bits));
-                for (unsigned j = 0; j < ncomp; ++j) {
-                    std::uint16_t *out = tags.data() + j * kBlockSize;
-                    for (std::size_t i = 0; i < m; ++i) {
-                        const std::uint64_t h = gh[i] & hmask[j];
-                        out[i] = static_cast<std::uint16_t>(
-                            (wtagf[i] ^ xorFold(h, tag_bits) ^
-                             (xorFold(h, tag_bits - 1) << 1)) &
-                            mask(tag_bits));
-                    }
-                }
+                    wtagf[i] = tagePcFold(widx[i], tag_bits);
+                tageTagBlock(opts.tageHistories, tag_bits, gh.data(),
+                             wtagf.data(), 1, m, tags.data(), kBlockSize);
                 for (std::size_t first = 0; first < task_lanes;) {
                     const unsigned eb = specs[first].rowBits;
                     std::size_t last = first;
@@ -386,18 +374,11 @@ replayModelLanes(const PreparedTrace &t, const SweepOptions &opts,
                         ++last;
                     if (count)
                         ++tel.modelBatches;
-                    const std::uint64_t eb_mask = mask(eb);
                     for (std::size_t i = 0; i < m; ++i)
-                        wfold[i] = static_cast<std::uint32_t>(
-                            xorFold(widx[i], eb));
-                    for (unsigned j = 0; j < ncomp; ++j) {
-                        std::uint32_t *out = idxf.data() + j * kBlockSize;
-                        for (std::size_t i = 0; i < m; ++i)
-                            out[i] = static_cast<std::uint32_t>(
-                                (xorFold(gh[i] & hmask[j], eb) ^
-                                 wfold[i]) &
-                                eb_mask);
-                    }
+                        wfold[i] = tagePcFold(widx[i], eb);
+                    tageIndexBlock(opts.tageHistories, eb, gh.data(),
+                                   wfold.data(), 1, m, idxf.data(),
+                                   kBlockSize);
                     for (std::size_t j = first; j < last; ++j) {
                         TageModel &model = models[j];
                         const std::uint64_t base_mask =

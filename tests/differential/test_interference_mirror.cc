@@ -10,8 +10,10 @@
  * PAs(bht) runs under every BhtResetPolicy on a BHT small enough to
  * miss.  The zoo's row width is TAGE's entry width and the
  * perceptron's history length; TAGE needs at least one row and column
- * bit, and its widest case stays at 12 bits because every static
- * branch owns a full private TAGE.
+ * bit, and its widest case stays at 12 bits because the mirror gives
+ * every static branch a full private TAGE.  Every case runs the
+ * analyzer at 1, 3 and 4 threads: its private pass splits static
+ * branches across executors, and no split may change a count.
  */
 
 #include <gtest/gtest.h>
@@ -62,23 +64,28 @@ geometries(SchemeKind kind)
 
 void
 expectMatchesMirror(const PreparedTrace &t, SchemeKind kind,
-                    const Geometry &g, const SweepOptions &opts,
+                    const Geometry &g, SweepOptions opts,
                     const std::string &what)
 {
-    const InterferenceResult got =
-        analyzeInterference(t, kind, g.first, g.second, opts);
     const InterferenceResult want =
         mirror::mirrorInterference(t, kind, g.first, g.second, opts);
-    const std::string ctx = what + " " + schemeKindName(kind) + " r=" +
-        std::to_string(g.first) + " c=" + std::to_string(g.second) +
-        " on " + t.name();
-    EXPECT_EQ(got.instances, want.instances) << ctx;
-    EXPECT_EQ(got.sharedMispredicts, want.sharedMispredicts) << ctx;
-    EXPECT_EQ(got.privateMispredicts, want.privateMispredicts) << ctx;
-    EXPECT_EQ(got.destructive, want.destructive) << ctx;
-    EXPECT_EQ(got.constructive, want.constructive) << ctx;
-    EXPECT_EQ(got.coldMispredicts, want.coldMispredicts) << ctx;
-    EXPECT_EQ(got.capacityMispredicts, want.capacityMispredicts) << ctx;
+    for (unsigned threads : {1u, 3u, 4u}) {
+        opts.threads = threads;
+        const InterferenceResult got =
+            analyzeInterference(t, kind, g.first, g.second, opts);
+        const std::string ctx = what + " " + schemeKindName(kind) +
+            " r=" + std::to_string(g.first) + " c=" +
+            std::to_string(g.second) + " on " + t.name() + " at " +
+            std::to_string(threads) + " threads";
+        EXPECT_EQ(got.instances, want.instances) << ctx;
+        EXPECT_EQ(got.sharedMispredicts, want.sharedMispredicts) << ctx;
+        EXPECT_EQ(got.privateMispredicts, want.privateMispredicts) << ctx;
+        EXPECT_EQ(got.destructive, want.destructive) << ctx;
+        EXPECT_EQ(got.constructive, want.constructive) << ctx;
+        EXPECT_EQ(got.coldMispredicts, want.coldMispredicts) << ctx;
+        EXPECT_EQ(got.capacityMispredicts, want.capacityMispredicts)
+            << ctx;
+    }
 }
 
 } // namespace

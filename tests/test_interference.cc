@@ -224,3 +224,88 @@ TEST(InterferenceOracle, BranchesOnDistinctColumnsNeverInterfere)
         }
     }
 }
+
+namespace {
+
+/** Every scheme's counts on @p t at (4, 3), with @p threads executors. */
+InterferenceResult
+analyzeAt(const PreparedTrace &t, SchemeKind kind, unsigned threads)
+{
+    SweepOptions opts;
+    opts.bhtEntries = 16;
+    opts.threads = threads;
+    return analyzeInterference(t, kind, 4, 3, opts);
+}
+
+void
+expectSameCounts(const InterferenceResult &a, const InterferenceResult &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.instances, b.instances) << what;
+    EXPECT_EQ(a.sharedMispredicts, b.sharedMispredicts) << what;
+    EXPECT_EQ(a.privateMispredicts, b.privateMispredicts) << what;
+    EXPECT_EQ(a.destructive, b.destructive) << what;
+    EXPECT_EQ(a.constructive, b.constructive) << what;
+    EXPECT_EQ(a.coldMispredicts, b.coldMispredicts) << what;
+    EXPECT_EQ(a.capacityMispredicts, b.capacityMispredicts) << what;
+}
+
+} // namespace
+
+TEST(InterferenceEdge, EmptyTraceGivesZeroCounts)
+{
+    MemoryTrace raw("empty");
+    PreparedTrace t(raw);
+    for (SchemeKind kind : kSchemeKinds)
+        for (unsigned threads : {1u, 4u})
+            expectSameCounts(analyzeAt(t, kind, threads),
+                             InterferenceResult{},
+                             std::string(schemeKindName(kind)) + " at " +
+                                 std::to_string(threads) + " threads");
+}
+
+TEST(InterferenceEdge, OneInstanceIsAColdMissOrNothing)
+{
+    // Both twins start from the same reset state and see one branch,
+    // so they agree; a miss on that first touch is cold.
+    for (bool taken : {false, true}) {
+        MemoryTrace raw("one-instance");
+        raw.append(conditional(0x1000, taken));
+        PreparedTrace t(raw);
+        for (SchemeKind kind : kSchemeKinds) {
+            const InterferenceResult r = analyzeAt(t, kind, 4);
+            const std::string what = std::string(schemeKindName(kind)) +
+                (taken ? " taken" : " not taken");
+            EXPECT_EQ(r.instances, 1u) << what;
+            EXPECT_EQ(r.sharedMispredicts, r.privateMispredicts) << what;
+            EXPECT_EQ(r.destructive + r.constructive, 0u) << what;
+            EXPECT_EQ(r.coldMispredicts, r.sharedMispredicts) << what;
+            EXPECT_EQ(r.capacityMispredicts, 0u) << what;
+            // Every reset state leans taken.
+            EXPECT_EQ(r.sharedMispredicts, taken ? 0u : 1u) << what;
+        }
+    }
+}
+
+TEST(InterferenceEdge, FewerStaticBranchesThanThreads)
+{
+    // Three static branches over eight executors: most get no branch,
+    // and the counts match the serial analysis.
+    MemoryTrace raw("three-branches");
+    Outcomes outcomes(777), order(31337);
+    for (int i = 0; i < 3000; ++i) {
+        const Addr pc = order.next() ? 0x2000 : order.next() ? 0x2040
+                                                             : 0x2104;
+        raw.append(conditional(pc, outcomes.next()));
+    }
+    PreparedTrace t(raw);
+    ASSERT_EQ(t.staticBranches(), 3u);
+    for (SchemeKind kind : kSchemeKinds) {
+        const InterferenceResult serial = analyzeAt(t, kind, 1);
+        EXPECT_EQ(serial.instances, t.size());
+        for (unsigned threads : {2u, 8u, 0u})
+            expectSameCounts(analyzeAt(t, kind, threads), serial,
+                             std::string(schemeKindName(kind)) + " at " +
+                                 std::to_string(threads) + " threads");
+    }
+}

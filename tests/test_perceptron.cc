@@ -141,6 +141,26 @@ TEST(PerceptronZoo, ResetClearsWeightsAndUpdates)
     EXPECT_EQ(m.step(0x40, 0, true).sum, 0);
 }
 
+TEST(PerceptronZoo, ResetWeightsUndoesARunLikeReset)
+{
+    // Undo one branch's run step by step, then replay it beside
+    // another branch: every sum must match a model that was never
+    // touched.
+    PerceptronModel undone(params(12, 5, 4)), fresh(params(12, 5, 4));
+    for (int i = 0; i < 300; ++i)
+        undone.step(0x80, static_cast<std::uint64_t>(i * 0x9e37),
+                    i % 3 != 0);
+    for (int i = 0; i < 300; ++i)
+        undone.resetWeights(0x80, static_cast<std::uint64_t>(i * 0x9e37));
+    for (int i = 0; i < 300; ++i) {
+        const Addr pc = 0x80 + 4 * (i % 2);
+        const auto ghist = static_cast<std::uint64_t>(i * 0x5bd1);
+        EXPECT_EQ(undone.step(pc, ghist, i % 5 != 0).sum,
+                  fresh.step(pc, ghist, i % 5 != 0).sum)
+            << i;
+    }
+}
+
 TEST(PerceptronZooSweep, ModelReplayMatchesOnlinePredictor)
 {
     PreparedTrace prepared(sharedWorkload());

@@ -199,6 +199,44 @@ TEST(TageZoo, ResetRestoresColdState)
     EXPECT_TRUE(s.providerWasFresh);
 }
 
+TEST(TageZoo, ResetKeysUndoesARunLikeReset)
+{
+    // Undo one branch's run key by key, then replay another branch:
+    // every step must match a model that was never touched.
+    const TageParams p = smallParams();
+    TageModel undone(p), fresh(p);
+    const auto keys = [&](Addr pc, std::uint64_t ghist,
+                          std::uint32_t *idx, std::uint16_t *tag) {
+        for (unsigned j = 0; j < p.histories.size(); ++j) {
+            idx[j] = static_cast<std::uint32_t>(
+                undone.taggedIndex(j, pc, ghist));
+            tag[j] = undone.taggedTag(j, pc, ghist);
+        }
+    };
+    std::uint32_t idx[4];
+    std::uint16_t tag[4];
+    for (int i = 0; i < 200; ++i) {
+        const auto ghist = static_cast<std::uint64_t>(i * 0x9e37);
+        keys(0x40, ghist, idx, tag);
+        undone.stepWithKeys(undone.baseIndex(0x40), idx, 1, tag, 1,
+                            i % 3 != 0);
+    }
+    for (int i = 0; i < 200; ++i) {
+        keys(0x40, static_cast<std::uint64_t>(i * 0x9e37), idx, tag);
+        undone.resetKeys(undone.baseIndex(0x40), idx, 1);
+    }
+    for (int i = 0; i < 200; ++i) {
+        const Addr pc = 0x40 + 4 * (i % 2);
+        const auto ghist = static_cast<std::uint64_t>(i * 0x5bd1);
+        const TageStep a = undone.step(pc, ghist, i % 5 != 0);
+        const TageStep b = fresh.step(pc, ghist, i % 5 != 0);
+        EXPECT_EQ(a.prediction, b.prediction) << i;
+        EXPECT_EQ(a.provider, b.provider) << i;
+        EXPECT_EQ(a.providerWasFresh, b.providerWasFresh) << i;
+        EXPECT_EQ(a.allocated, b.allocated) << i;
+    }
+}
+
 TEST(TageZooSweep, ModelReplayMatchesOnlinePredictor)
 {
     // The sweep engine replays a TageModel against the prepared trace's
